@@ -1,11 +1,11 @@
 //! Support-counting kernel benchmarks: placement policy, short-circuit,
-//! fast-path knobs, and counter-placement effects on the hot loop.
+//! and counter-placement effects on the hot loop.
 
 use arm_balance::BitonicHash;
 use arm_dataset::Database;
 use arm_hashtree::{
-    freeze_policy, CandidateSet, CountOptions, CountScratch, CounterRef, ItemFilter,
-    PlacementPolicy, TreeBuilder, WorkMeter,
+    freeze_policy, CandidateSet, CountOptions, CountScratch, CounterRef, PlacementPolicy,
+    TreeBuilder, WorkMeter,
 };
 use arm_mem::{FlatCounters, LocalCounters};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -106,78 +106,6 @@ fn bench_short_circuit(c: &mut Criterion) {
     g.finish();
 }
 
-/// The four counting fast-path knobs, off→on one at a time plus the
-/// all-on/all-off endpoints (scratch reuse shows up as allocating the
-/// scratch inside vs outside the timed loop).
-fn bench_fast_path(c: &mut Criterion) {
-    let (db, cands) = fixture();
-    let hash = BitonicHash::new(12);
-    let builder = TreeBuilder::new(&cands, &hash, 6);
-    builder.insert_all();
-    let tree = freeze_policy(&builder, PlacementPolicy::Gpp);
-    let filter = ItemFilter::from_candidates(&cands, N_ITEMS);
-    let mut g = c.benchmark_group("fast_path");
-    g.sample_size(15);
-    let base = CountOptions {
-        hash_memo: false,
-        iterative: false,
-        ..CountOptions::default()
-    };
-    let cases: [(&str, CountOptions, bool, bool); 6] = [
-        ("none", base, false, false),
-        (
-            "memo",
-            CountOptions {
-                hash_memo: true,
-                ..base
-            },
-            false,
-            false,
-        ),
-        ("trim", base, true, false),
-        (
-            "iterative",
-            CountOptions {
-                iterative: true,
-                ..base
-            },
-            false,
-            false,
-        ),
-        ("reuse", base, false, true),
-        ("all", CountOptions::default(), true, true),
-    ];
-    for (name, opts, trim, reuse) in cases {
-        let filter = trim.then_some(&filter);
-        let mut outer = CountScratch::new(N_ITEMS, tree.n_nodes());
-        g.bench_function(name, |b| {
-            b.iter(|| {
-                let mut fresh;
-                let scratch: &mut CountScratch = if reuse {
-                    outer.retarget(tree.n_nodes());
-                    &mut outer
-                } else {
-                    fresh = CountScratch::new(N_ITEMS, tree.n_nodes());
-                    &mut fresh
-                };
-                let mut meter = WorkMeter::default();
-                tree.count_partition(
-                    &hash,
-                    &db,
-                    0..db.len(),
-                    filter,
-                    scratch,
-                    &mut CounterRef::Inline,
-                    opts,
-                    &mut meter,
-                );
-                meter.hits
-            })
-        });
-    }
-    g.finish();
-}
-
 fn bench_counter_modes(c: &mut Criterion) {
     let (db, cands) = fixture();
     let hash = BitonicHash::new(12);
@@ -249,7 +177,6 @@ criterion_group!(
     benches,
     bench_policies,
     bench_short_circuit,
-    bench_fast_path,
     bench_counter_modes
 );
 criterion_main!(benches);

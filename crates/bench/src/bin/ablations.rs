@@ -206,7 +206,6 @@ fn visited_scheme(db: &Database, reps: usize) {
                 CountOptions {
                     short_circuit: true,
                     visited,
-                    ..CountOptions::default()
                 },
                 &mut meter,
             );

@@ -1,7 +1,7 @@
 //! Scheduling-mode snapshot: static block splits vs the adaptive
 //! executor (`BENCH_scheduling.json`).
 //!
-//! Runs CCPD under every `Scheduling` mode at P = 1/2/4/8 on two
+//! Runs CCPD under both `Scheduling` modes (`Static`, `Stealing`) at P = 1/2/4/8 on two
 //! datasets: the paper's (scaled) `T10.I4.D100K` and a Zipf-tailed
 //! variant of it whose handful of giant transactions makes the paper's
 //! equal-transaction static split lopsided. For each run it records
@@ -10,10 +10,10 @@
 //!
 //! Two gates, reflected in the exit code so CI can smoke-run this:
 //!
-//! 1. **Correctness** — every mode must produce frequent itemsets
+//! 1. **Correctness** — `Stealing` must produce frequent itemsets
 //!    byte-identical to the `Static` oracle (hard failure).
-//! 2. **Balance** — on the skewed dataset at P = 8, the best dynamic
-//!    mode must improve the count-phase imbalance over `Static`
+//! 2. **Balance** — on the skewed dataset at P = 8, the dynamic mode
+//!    must improve the count-phase imbalance over `Static`
 //!    (hard failure: this is the point of the executor). Wall and
 //!    simulated time are reported for the same comparison; on a
 //!    single-core host only the simulated (work-model) time is
@@ -28,13 +28,8 @@ use arm_quest::{generate, LengthDist};
 
 const THREADS: [usize; 4] = [1, 2, 4, 8];
 
-fn modes() -> [Scheduling; 4] {
-    [
-        Scheduling::Static,
-        Scheduling::Chunked { chunk: 256 },
-        Scheduling::Guided,
-        Scheduling::Stealing,
-    ]
+fn modes() -> [Scheduling; 2] {
+    [Scheduling::Static, Scheduling::Stealing]
 }
 
 struct Row {
@@ -143,10 +138,7 @@ fn main() {
     };
     let p_max = *THREADS.last().unwrap();
     let static_row = at("static", p_max);
-    let dynamic: Vec<&Row> = ["chunked", "guided", "stealing"]
-        .iter()
-        .map(|m| at(m, p_max))
-        .collect();
+    let dynamic: Vec<&Row> = ["stealing"].iter().map(|m| at(m, p_max)).collect();
     let best_balance = dynamic
         .iter()
         .min_by(|a, b| a.count_imbalance.total_cmp(&b.count_imbalance))

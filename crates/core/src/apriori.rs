@@ -158,11 +158,9 @@ pub fn mine_with(
     let opts = CountOptions {
         short_circuit: config.short_circuit,
         visited: config.visited,
-        hash_memo: config.hash_memo,
-        iterative: config.iterative_walk,
     };
-    // With `reuse_scratch` this single scratch (and all its buffers)
-    // serves every iteration, re-targeted at each new tree.
+    // This single scratch (and all its buffers) serves every iteration,
+    // re-targeted at each new tree.
     let mut scratch = CountScratch::new(db.n_items(), 0);
 
     let mut k = 2u32;
@@ -227,21 +225,11 @@ pub fn mine_with(
 
         // Support counting.
         let span = phase(metrics, "count", k);
-        let filter = config
-            .trim_transactions
-            .then(|| ItemFilter::from_candidates(&cands, db.n_items()));
-        let filter = filter.as_ref();
-        if config.reuse_scratch {
-            scratch.retarget(tree.n_nodes());
-        } else {
-            scratch = CountScratch::new(db.n_items(), tree.n_nodes());
-        }
+        let filter = ItemFilter::from_candidates(&cands, db.n_items());
+        let filter = Some(&filter);
+        scratch.retarget(tree.n_nodes());
         if let Some(m) = metrics {
-            m.shard(0).incr(if config.reuse_scratch {
-                Counter::ScratchRetargets
-            } else {
-                Counter::ScratchAllocs
-            });
+            m.shard(0).incr(Counter::ScratchRetargets);
         }
         let mut meter = WorkMeter::default();
         let counts: Vec<u32> = if tree.counters_inline() {
@@ -399,29 +387,23 @@ mod tests {
                 for sc in [false, true] {
                     for adaptive in [false, true] {
                         for visited in [VisitedMode::PerNode, VisitedMode::LevelPath] {
-                            for fast in [false, true] {
-                                let cfg = AprioriConfig {
-                                    min_support: Support::Absolute(2),
-                                    leaf_threshold: 2,
-                                    hash_scheme: scheme,
-                                    adaptive_fanout: adaptive,
-                                    fixed_fanout: 3,
-                                    short_circuit: sc,
-                                    visited,
-                                    pair_filter_buckets: if sc { Some(64) } else { None },
-                                    placement,
-                                    max_k: None,
-                                    hash_memo: fast,
-                                    trim_transactions: fast,
-                                    iterative_walk: fast,
-                                    reuse_scratch: fast,
-                                };
-                                let got = mine(&db, &cfg).all_itemsets();
-                                assert_eq!(
-                                    got, reference,
-                                    "{placement} {scheme:?} sc={sc} {visited:?} fast={fast}"
-                                );
-                            }
+                            let cfg = AprioriConfig {
+                                min_support: Support::Absolute(2),
+                                leaf_threshold: 2,
+                                hash_scheme: scheme,
+                                adaptive_fanout: adaptive,
+                                fixed_fanout: 3,
+                                short_circuit: sc,
+                                visited,
+                                pair_filter_buckets: if sc { Some(64) } else { None },
+                                placement,
+                                max_k: None,
+                            };
+                            let got = mine(&db, &cfg).all_itemsets();
+                            assert_eq!(
+                                got, reference,
+                                "{placement} {scheme:?} sc={sc} {visited:?}"
+                            );
                         }
                     }
                 }

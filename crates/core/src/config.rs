@@ -64,22 +64,6 @@ pub struct AprioriConfig {
     pub placement: PlacementPolicy,
     /// Optional cap on the itemset length mined.
     pub max_k: Option<u32>,
-    /// Counting fast path: hash each transaction item once per transaction
-    /// and index the memo table during the walk instead of re-hashing per
-    /// node visit.
-    pub hash_memo: bool,
-    /// Counting fast path: trim each transaction to the items appearing in
-    /// some candidate before walking it (lossless; the database itself
-    /// stays untouched).
-    pub trim_transactions: bool,
-    /// Counting fast path: drive the walk with an explicit reusable frame
-    /// stack instead of native recursion (identical traversal and work
-    /// tallies).
-    pub iterative_walk: bool,
-    /// Counting fast path: keep counting scratch (bitmaps, stamps, memo
-    /// and trim buffers) alive across iterations instead of reallocating
-    /// it per iteration.
-    pub reuse_scratch: bool,
 }
 
 impl Default for AprioriConfig {
@@ -95,18 +79,13 @@ impl Default for AprioriConfig {
             pair_filter_buckets: None,
             placement: PlacementPolicy::Gpp,
             max_k: None,
-            hash_memo: true,
-            trim_transactions: true,
-            iterative_walk: true,
-            reuse_scratch: true,
         }
     }
 }
 
 impl AprioriConfig {
     /// The paper's *unoptimized* baseline: interleaved hash, fixed fan-out,
-    /// no short-circuiting, standard-malloc placement, and none of the
-    /// counting fast paths.
+    /// no short-circuiting and standard-malloc placement.
     pub fn unoptimized() -> Self {
         AprioriConfig {
             min_support: Support::Fraction(0.005),
@@ -119,10 +98,6 @@ impl AprioriConfig {
             pair_filter_buckets: None,
             placement: PlacementPolicy::Ccpd,
             max_k: None,
-            hash_memo: false,
-            trim_transactions: false,
-            iterative_walk: false,
-            reuse_scratch: false,
         }
     }
 
@@ -159,10 +134,6 @@ mod tests {
         assert_ne!(opt.hash_scheme, base.hash_scheme);
         assert!(opt.short_circuit && !base.short_circuit);
         assert!(opt.adaptive_fanout && !base.adaptive_fanout);
-        assert!(opt.hash_memo && !base.hash_memo);
-        assert!(opt.trim_transactions && !base.trim_transactions);
-        assert!(opt.iterative_walk && !base.iterative_walk);
-        assert!(opt.reuse_scratch && !base.reuse_scratch);
     }
 
     #[test]

@@ -16,7 +16,7 @@ pub fn count_singletons(db: &Database, range: Range<usize>) -> Vec<u32> {
 }
 
 /// Accumulates item occurrences for `range` into an existing histogram.
-/// Chunked schedulers call this once per claimed chunk; summing over any
+/// Dynamic schedulers call this once per claimed chunk; summing over any
 /// exact partition of the database reproduces [`count_singletons`].
 pub fn count_singletons_into(db: &Database, range: Range<usize>, counts: &mut [u32]) {
     debug_assert_eq!(counts.len(), db.n_items() as usize);

@@ -57,11 +57,17 @@ pub fn read_binary<R: Read>(mut r: R) -> io::Result<Database> {
         return Err(fail("unsupported version"));
     }
     let n_items = buf.get_u32_le();
-    let n_txns = buf.get_u64_le() as usize;
-
-    if buf.remaining() < (n_txns + 1) * 4 {
+    // A corrupt count must not wrap the length check below.
+    let offsets_bytes = usize::try_from(buf.get_u64_le())
+        .ok()
+        .and_then(|n| n.checked_add(1)?.checked_mul(4));
+    let Some(offsets_bytes) = offsets_bytes else {
+        return Err(fail("transaction count overflows"));
+    };
+    if buf.remaining() < offsets_bytes {
         return Err(fail("truncated offsets"));
     }
+    let n_txns = offsets_bytes / 4 - 1;
     let mut offsets = Vec::with_capacity(n_txns + 1);
     for _ in 0..=n_txns {
         offsets.push(buf.get_u32_le());
@@ -70,7 +76,7 @@ pub fn read_binary<R: Read>(mut r: R) -> io::Result<Database> {
     if offsets[0] != 0 || offsets.windows(2).any(|w| w[0] > w[1]) {
         return Err(fail("offsets not monotone"));
     }
-    if buf.remaining() != total * 4 {
+    if Some(buf.remaining()) != total.checked_mul(4) {
         return Err(fail("item payload size mismatch"));
     }
     let mut items = Vec::with_capacity(total);
@@ -183,6 +189,21 @@ mod tests {
         write_binary(&sample(), &mut buf).unwrap();
         for cut in [3, 19, buf.len() - 1] {
             assert!(read_binary(&buf[..cut]).is_err(), "cut at {cut}");
+        }
+    }
+
+    #[test]
+    fn binary_rejects_overflowing_transaction_count() {
+        // 20-byte headers whose count makes `(n_txns + 1) * 4` wrap.
+        for n_txns in [u64::MAX, (1u64 << 62) - 1] {
+            let mut buf = Vec::new();
+            buf.put_slice(MAGIC);
+            buf.put_u32_le(VERSION);
+            buf.put_u32_le(8);
+            buf.put_u64_le(n_txns);
+            assert_eq!(buf.len(), 20);
+            let err = read_binary(&buf[..]).expect_err("overflowing count must be rejected");
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "n_txns={n_txns}");
         }
     }
 

@@ -5,25 +5,20 @@
 //! count phase. That is exact and deterministic but gates every barrier on
 //! the slowest thread, and transaction-length skew makes the slowest thread
 //! arbitrarily slow. This crate keeps the static split as one mode of a
-//! [`ChunkPool`] and adds three dynamic schedules over the same index space:
+//! [`ChunkPool`] and adds one dynamic schedule over the same index space:
 //!
 //! * [`Scheduling::Static`] — the paper's split, unchanged. Each thread
 //!   receives exactly its seed range, once. This is the differential-test
-//!   oracle: every other mode must produce bit-identical results.
-//! * [`Scheduling::Chunked`] — a shared atomic cursor hands out fixed-size
-//!   chunks; threads race on a single `compare_exchange` loop.
-//! * [`Scheduling::Guided`] — guided self-scheduling: chunk size is
-//!   `max(remaining / (2·P), floor)`, so early chunks are large (low
-//!   scheduling overhead) and late chunks shrink toward the floor (bounded
-//!   tail latency).
+//!   oracle: `Stealing` must produce bit-identical results.
 //! * [`Scheduling::Stealing`] — each thread owns a deque of pre-chopped
 //!   chunks over its seed range (largest first); the owner pops from the
 //!   front for sequential locality, and threads that run dry steal the
 //!   smallest tail chunks from the back of a victim's deque. When the total
 //!   work is too small to be worth deque setup, the pool silently falls back
-//!   to the guided cursor.
+//!   to a guided cursor: one shared atomic cursor handing out chunks of
+//!   `max(remaining / (2·P), floor)` items.
 //!
-//! All four modes partition the seeded items exactly — every index is handed
+//! Both modes partition the seeded items exactly — every index is handed
 //! out exactly once, chunks never cross a seed-range boundary — so any
 //! commutative per-item computation (atomic counter increments, reduced
 //! local histograms) yields results independent of the schedule. The pool
@@ -41,13 +36,6 @@ pub enum Scheduling {
     /// The paper's static block split: thread `t` processes exactly its
     /// seed range. Deterministic oracle for the differential suite.
     Static,
-    /// Shared cursor handing out fixed-size chunks of `chunk` items.
-    Chunked {
-        /// Number of items per chunk (clamped to at least 1).
-        chunk: usize,
-    },
-    /// Guided self-scheduling: chunk = `max(remaining / (2·P), floor)`.
-    Guided,
     /// Per-thread chunk deques with work stealing from the back.
     #[default]
     Stealing,
@@ -58,8 +46,6 @@ impl Scheduling {
     pub fn name(self) -> &'static str {
         match self {
             Scheduling::Static => "static",
-            Scheduling::Chunked { .. } => "chunked",
-            Scheduling::Guided => "guided",
             Scheduling::Stealing => "stealing",
         }
     }
@@ -106,25 +92,22 @@ impl StatCells {
     }
 }
 
-enum CursorMode {
-    Fixed(usize),
-    Guided { floor: usize },
-}
-
 enum Repr {
     /// One seed range per thread, claimed at most once, never migrated.
     Static {
         ranges: Vec<Range<usize>>,
         taken: Vec<CacheAligned<AtomicBool>>,
     },
-    /// Single atomic cursor over the virtual concatenation of the seed
-    /// ranges; chunks are clipped at seed-range boundaries.
+    /// Guided cursor (`Stealing`'s small-input fallback): one atomic
+    /// cursor over the virtual concatenation of the seed ranges, handing
+    /// out chunks of `max(remaining / (2·P), floor)`, clipped at
+    /// seed-range boundaries.
     Cursor {
         pos: AtomicUsize,
         /// `prefix[i]` = virtual start of `ranges[i]`; `prefix[n]` = total.
         prefix: Vec<usize>,
         ranges: Vec<Range<usize>>,
-        mode: CursorMode,
+        floor: usize,
     },
     /// Per-thread deques of pre-chopped chunks, shrinking toward the tail.
     Stealing {
@@ -147,7 +130,7 @@ pub struct ChunkPool {
 }
 
 impl ChunkPool {
-    /// Default minimum chunk size for `Guided` and `Stealing`.
+    /// Default minimum chunk size for `Stealing` and its cursor fallback.
     ///
     /// 64 transactions is small enough that the final chunks cannot gate a
     /// barrier, and large enough that deque/cursor traffic stays far below
@@ -161,8 +144,8 @@ impl ChunkPool {
     }
 
     /// Builds a pool with an explicit chunk-size floor (items). The floor
-    /// applies to `Guided` sizing and to `Stealing` chunk chopping; it is
-    /// clamped to at least 1.
+    /// applies to `Stealing` chunk chopping and to its cursor fallback; it
+    /// is clamped to at least 1. It does not affect `Static`.
     pub fn with_floor(ranges: &[Range<usize>], mode: Scheduling, floor: usize) -> Self {
         assert!(
             !ranges.is_empty(),
@@ -178,16 +161,12 @@ impl ChunkPool {
                     .map(|_| CacheAligned::new(AtomicBool::new(false)))
                     .collect(),
             },
-            Scheduling::Chunked { chunk } => {
-                Self::cursor_repr(ranges, CursorMode::Fixed(chunk.max(1)))
-            }
-            Scheduling::Guided => Self::cursor_repr(ranges, CursorMode::Guided { floor }),
             Scheduling::Stealing => {
                 // Too little work to amortize deque setup: a guided cursor
                 // distributes it with strictly less machinery and the same
                 // exactly-once guarantee.
                 if total < 2 * n * floor {
-                    Self::cursor_repr(ranges, CursorMode::Guided { floor })
+                    Self::cursor_repr(ranges, floor)
                 } else {
                     let deques: Vec<_> = ranges
                         .iter()
@@ -216,7 +195,7 @@ impl ChunkPool {
         self
     }
 
-    fn cursor_repr(ranges: &[Range<usize>], mode: CursorMode) -> Repr {
+    fn cursor_repr(ranges: &[Range<usize>], floor: usize) -> Repr {
         let mut prefix = Vec::with_capacity(ranges.len() + 1);
         let mut acc = 0usize;
         prefix.push(0);
@@ -228,7 +207,7 @@ impl ChunkPool {
             pos: AtomicUsize::new(0),
             prefix,
             ranges: ranges.to_vec(),
-            mode,
+            floor,
         }
     }
 
@@ -286,8 +265,8 @@ impl ChunkPool {
                 pos,
                 prefix,
                 ranges,
-                mode,
-            } => self.next_cursor(t, pos, prefix, ranges, mode),
+                floor,
+            } => self.next_cursor(t, pos, prefix, ranges, *floor),
             Repr::Stealing { deques } => self.next_stealing(t, deques),
         };
         if let Some(r) = &chunk {
@@ -304,7 +283,7 @@ impl ChunkPool {
         pos: &AtomicUsize,
         prefix: &[usize],
         ranges: &[Range<usize>],
-        mode: &CursorMode,
+        floor: usize,
     ) -> Option<Range<usize>> {
         let total = *prefix.last().unwrap();
         loop {
@@ -312,10 +291,7 @@ impl ChunkPool {
             if v >= total {
                 return None;
             }
-            let want = match *mode {
-                CursorMode::Fixed(c) => c,
-                CursorMode::Guided { floor } => ((total - v) / (2 * self.n_threads)).max(floor),
-            };
+            let want = ((total - v) / (2 * self.n_threads)).max(floor);
             // Seed range containing virtual position v; chunks never cross
             // the boundary so `Static`-seeded weighted splits stay meaningful.
             let idx = prefix.partition_point(|&s| s <= v) - 1;
@@ -404,12 +380,7 @@ mod tests {
 
     #[test]
     fn all_modes_cover_exactly_once() {
-        let modes = [
-            Scheduling::Static,
-            Scheduling::Chunked { chunk: 7 },
-            Scheduling::Guided,
-            Scheduling::Stealing,
-        ];
+        let modes = [Scheduling::Static, Scheduling::Stealing];
         for p in [1, 2, 4, 8] {
             for n in [0, 1, 63, 500, 4096] {
                 let ranges = block_ranges(n, p);
@@ -433,37 +404,6 @@ mod tests {
             assert_eq!(s.items, r.len() as u64);
             assert_eq!(s.stolen, 0);
         }
-    }
-
-    #[test]
-    fn chunked_respects_chunk_size_and_boundaries() {
-        let ranges = vec![0..10, 10..95];
-        let pool = ChunkPool::new(&ranges, Scheduling::Chunked { chunk: 8 });
-        let mut prev_end = 0;
-        while let Some(r) = pool.next(0) {
-            assert!(r.len() <= 8);
-            assert_eq!(r.start, prev_end);
-            // Never crosses the 10-boundary mid-chunk.
-            assert!(r.end <= 10 || r.start >= 10);
-            prev_end = r.end;
-        }
-        assert_eq!(prev_end, 95);
-    }
-
-    #[test]
-    #[allow(clippy::single_range_in_vec_init)]
-    fn guided_chunks_shrink_toward_floor() {
-        let ranges = [0..10_000];
-        let pool = ChunkPool::with_floor(&ranges, Scheduling::Guided, 32);
-        let mut sizes = Vec::new();
-        while let Some(r) = pool.next(0) {
-            sizes.push(r.len());
-        }
-        // Non-increasing, first chunk large, last chunks at the floor.
-        assert!(sizes.windows(2).all(|w| w[0] >= w[1]));
-        assert_eq!(sizes[0], 10_000 / 2);
-        assert!(*sizes.last().unwrap() <= 32);
-        assert_eq!(sizes.iter().sum::<usize>(), 10_000);
     }
 
     #[test]
@@ -495,14 +435,16 @@ mod tests {
 
     #[test]
     fn concurrent_drain_covers_exactly_once() {
-        for mode in [
-            Scheduling::Chunked { chunk: 5 },
-            Scheduling::Guided,
-            Scheduling::Stealing,
+        // Floor 2000 puts `Stealing` on its guided-cursor fallback
+        // (20 000 < 2 · 8 · 2000), so both of its claim paths race here.
+        for (mode, floor) in [
+            (Scheduling::Static, 16),
+            (Scheduling::Stealing, 16),
+            (Scheduling::Stealing, 2000),
         ] {
             let p = 8;
             let ranges = block_ranges(20_000, p);
-            let pool = ChunkPool::with_floor(&ranges, mode, 16);
+            let pool = ChunkPool::with_floor(&ranges, mode, floor);
             let mut all: Vec<usize> = std::thread::scope(|s| {
                 let handles: Vec<_> = (0..p)
                     .map(|t| {
@@ -532,12 +474,7 @@ mod tests {
     fn empty_and_uneven_seeds() {
         // Empty ranges for some threads (e.g. p > candidates).
         let ranges = vec![0..0, 0..3, 3..3, 3..5];
-        for mode in [
-            Scheduling::Static,
-            Scheduling::Chunked { chunk: 2 },
-            Scheduling::Guided,
-            Scheduling::Stealing,
-        ] {
+        for mode in [Scheduling::Static, Scheduling::Stealing] {
             let pool = ChunkPool::with_floor(&ranges, mode, 1);
             assert_covers(&pool, &ranges);
         }
@@ -545,12 +482,7 @@ mod tests {
 
     #[test]
     fn cancelled_pool_stops_within_one_claim_per_thread() {
-        for mode in [
-            Scheduling::Static,
-            Scheduling::Chunked { chunk: 4 },
-            Scheduling::Guided,
-            Scheduling::Stealing,
-        ] {
+        for mode in [Scheduling::Static, Scheduling::Stealing] {
             let ranges = block_ranges(1000, 4);
             let token = CancelToken::new();
             let pool = ChunkPool::with_floor(&ranges, mode, 8).with_cancel_token(token.clone());
@@ -570,7 +502,7 @@ mod tests {
     fn check_triggered_token_drains_deterministically() {
         let ranges = block_ranges(1000, 2);
         let token = CancelToken::new().cancel_after_checks(3);
-        let pool = ChunkPool::with_floor(&ranges, Scheduling::Chunked { chunk: 10 }, 1)
+        let pool = ChunkPool::with_floor(&ranges, Scheduling::Stealing, 10)
             .with_cancel_token(token.clone());
         assert!(pool.next(0).is_some());
         assert!(pool.next(1).is_some());
@@ -581,7 +513,7 @@ mod tests {
     #[test]
     fn pool_without_token_counts_no_checks() {
         let ranges = block_ranges(100, 2);
-        let pool = ChunkPool::new(&ranges, Scheduling::Guided);
+        let pool = ChunkPool::new(&ranges, Scheduling::Stealing);
         while pool.next(0).is_some() {}
         assert_eq!(pool.thread_stats(0).cancel_checks, 0);
     }
@@ -589,8 +521,6 @@ mod tests {
     #[test]
     fn scheduling_names_are_stable() {
         assert_eq!(Scheduling::Static.name(), "static");
-        assert_eq!(Scheduling::Chunked { chunk: 4 }.name(), "chunked");
-        assert_eq!(Scheduling::Guided.name(), "guided");
         assert_eq!(Scheduling::Stealing.name(), "stealing");
         assert_eq!(Scheduling::default(), Scheduling::Stealing);
     }

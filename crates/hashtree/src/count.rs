@@ -9,25 +9,24 @@
 //! subset checking* optimization, enabled with
 //! [`CountOptions::short_circuit`].
 //!
-//! On top of that algorithmic layer sit four mechanical fast-path knobs,
-//! each independently toggleable so its effect can be ablated:
+//! Beneath that algorithmic layer the kernel always takes the same
+//! mechanical fast path:
 //!
-//! * **Hash memoization** ([`CountOptions::hash_memo`]): each transaction
-//!   item is hashed once into a reusable table in [`CountScratch`]; the
-//!   walk indexes the table instead of re-hashing the same item at every
-//!   tree level (and paying enum dispatch per call for `AnyHash`).
-//! * **Transaction trimming** ([`ItemFilter`], passed to
-//!   [`count_transaction`]): items that appear in no candidate can never
-//!   affect a containment test, so they are dropped from the transaction
-//!   before the walk — losslessly shrinking the subset space the walk
-//!   enumerates.
-//! * **Explicit-stack traversal** ([`CountOptions::iterative`]): the
-//!   recursive walk (a 12-argument frame per level) is replaced by an
-//!   iterative loop over a small reusable frame stack, visiting nodes in
-//!   the exact same order (the [`WorkMeter`] tallies are bit-identical).
+//! * **Hash memoization**: each transaction item is hashed once into a
+//!   reusable table in [`CountScratch`]; the walk indexes the table
+//!   instead of re-hashing the same item at every tree level.
+//! * **Explicit-stack traversal**: the depth-first walk keeps its
+//!   per-level state in a small reusable frame stack instead of native
+//!   recursion.
 //! * **Scratch reuse**: [`CountScratch::retarget`] re-aims an existing
 //!   scratch (with all its allocations) at a new tree, so drivers keep one
 //!   scratch per thread across all iterations instead of reallocating.
+//!
+//! **Transaction trimming** ([`ItemFilter`], passed to
+//! [`count_transaction`]) drops items that appear in no candidate before
+//! the walk, losslessly shrinking the subset space it enumerates. The
+//! miners always pass a filter; `None` counts the transaction as-is and
+//! serves as the reference the trimmed walk is checked against.
 
 use crate::freeze::{AnyFrozenTree, FrozenTree};
 use crate::policy::LeafLayout;
@@ -79,14 +78,6 @@ pub struct CountOptions {
     pub short_circuit: bool,
     /// VISITED stamp storage scheme.
     pub visited: VisitedMode,
-    /// Hash each transaction item once per transaction (via
-    /// [`HashFn::hash_slice`]) and index the memo table during the walk
-    /// instead of calling `HashFn::hash` per node visit.
-    pub hash_memo: bool,
-    /// Drive the walk with an explicit frame stack reused across
-    /// transactions instead of native recursion. Traversal order and
-    /// [`WorkMeter`] tallies are identical either way.
-    pub iterative: bool,
 }
 
 impl Default for CountOptions {
@@ -94,8 +85,6 @@ impl Default for CountOptions {
         CountOptions {
             short_circuit: true,
             visited: VisitedMode::PerNode,
-            hash_memo: true,
-            iterative: true,
         }
     }
 }
@@ -167,16 +156,6 @@ impl ItemFilter {
         f
     }
 
-    /// Builds the filter from an explicit item list (e.g. the union of
-    /// F_{k-1} members).
-    pub fn from_items(items: impl IntoIterator<Item = Item>, n_items: u32) -> Self {
-        let mut f = Self::empty(n_items);
-        for i in items {
-            f.insert(i);
-        }
-        f
-    }
-
     fn empty(n_items: u32) -> Self {
         ItemFilter {
             bits: vec![0; (n_items as usize).div_ceil(64)],
@@ -202,7 +181,7 @@ impl ItemFilter {
     }
 }
 
-/// One level of the explicit-stack walk: the node being expanded and the
+/// One level of the subset walk: the node being expanded and the
 /// remaining range of transaction positions to hash at this level.
 #[derive(Clone, Copy)]
 struct Frame {
@@ -217,8 +196,8 @@ struct Frame {
 
 /// Reusable per-thread scratch: the transaction bitmap, the VISITED
 /// stamp storage (epoch-tagged so clearing is O(1) per transaction), and
-/// the fast-path buffers (hash memo table, trimmed-transaction buffer,
-/// explicit-walk frame stack). All allocations survive
+/// the walk's buffers (hash memo table, trimmed-transaction buffer, frame
+/// stack). All allocations survive
 /// [`CountScratch::retarget`], so a driver holding one scratch per thread
 /// across iterations performs no per-iteration allocation beyond a
 /// possible one-time growth.
@@ -232,12 +211,11 @@ pub struct CountScratch {
     level_stamps: Vec<LevelStamp>,
     level_fanout: u32,
     epoch: u32,
-    /// Per-transaction hash memo ([`CountOptions::hash_memo`]).
-    hash_memo: Vec<u32>,
+    /// Per-transaction hash memo: the cell of each transaction item.
+    memo: Vec<u32>,
     /// Per-transaction trimmed copy (when an [`ItemFilter`] is in use).
     trimmed: Vec<Item>,
-    /// Explicit-walk stack ([`CountOptions::iterative`]); at most `k + 1`
-    /// frames deep.
+    /// Walk stack; at most `k + 1` frames deep.
     frames: Vec<Frame>,
 }
 
@@ -252,7 +230,7 @@ impl CountScratch {
             level_stamps: Vec::new(),
             level_fanout: 0,
             epoch: 0,
-            hash_memo: Vec::new(),
+            memo: Vec::new(),
             trimmed: Vec::new(),
             frames: Vec::new(),
         }
@@ -400,21 +378,10 @@ pub fn count_transaction<S: WordStore, F: HashFn>(
     }
     scratch.begin_txn(txn);
     meter.txns += 1;
-    let mut memo_buf = std::mem::take(&mut scratch.hash_memo);
-    let memo: Option<&[u32]> = if opts.hash_memo {
-        hash.hash_slice(txn, &mut memo_buf);
-        Some(&memo_buf)
-    } else {
-        None
-    };
-    if opts.iterative {
-        walk_iterative(tree, hash, txn, memo, ctx, scratch, counter, meter);
-    } else {
-        walk(
-            tree, hash, txn, memo, 0, tree.root, 0, 0, 0, ctx, scratch, counter, meter,
-        );
-    }
-    scratch.hash_memo = memo_buf;
+    let mut memo = std::mem::take(&mut scratch.memo);
+    hash.hash_slice(txn, &mut memo);
+    walk(tree, txn, &memo, ctx, scratch, counter, meter);
+    scratch.memo = memo;
     scratch.trimmed = trimmed;
 }
 
@@ -446,20 +413,9 @@ pub fn count_partition<S: WordStore, F: HashFn>(
     }
 }
 
-/// Resolves the hash cell for transaction position `i`: memo lookup when
-/// memoized, direct hash otherwise.
-#[inline(always)]
-fn cell_at<F: HashFn>(hash: &F, txn: &[Item], memo: Option<&[u32]>, i: usize) -> u32 {
-    match memo {
-        Some(m) => m[i],
-        None => hash.hash(txn[i]),
-    }
-}
-
 /// Enters `handle` during a walk: performs the VISITED bookkeeping, scans
 /// the node if it is a leaf, and otherwise returns the expansion frame for
-/// its children. Shared by the recursive and iterative drivers so their
-/// per-node semantics (and [`WorkMeter`] tallies) cannot drift apart.
+/// its children.
 #[allow(clippy::too_many_arguments)]
 #[inline(always)]
 fn enter_node<S: WordStore>(
@@ -521,60 +477,13 @@ fn enter_node<S: WordStore>(
     })
 }
 
-#[allow(clippy::too_many_arguments)]
-fn walk<S: WordStore, F: HashFn>(
+/// Walks the subset tree depth-first for one transaction whose item
+/// cells are `memo`. The per-level state is a 24-byte [`Frame`] in a
+/// reusable buffer instead of a native call frame.
+fn walk<S: WordStore>(
     tree: &FrozenTree<S>,
-    hash: &F,
     txn: &[Item],
-    memo: Option<&[u32]>,
-    pos: usize,
-    handle: u32,
-    depth: u32,
-    cell: u32,
-    sig: u64,
-    ctx: VisitCtx,
-    scratch: &mut CountScratch,
-    counter: &mut CounterRef<'_>,
-    meter: &mut WorkMeter,
-) {
-    let Some(frame) = enter_node(
-        tree, txn, handle, pos, depth, cell, sig, ctx, scratch, counter, meter,
-    ) else {
-        return;
-    };
-    for i in frame.i as usize..=frame.last as usize {
-        let child_cell = cell_at(hash, txn, memo, i);
-        let child = tree.store.load(handle, 1 + child_cell);
-        if child != NULL_HANDLE {
-            walk(
-                tree,
-                hash,
-                txn,
-                memo,
-                i + 1,
-                child,
-                depth + 1,
-                child_cell,
-                (sig << ctx.bits) | u64::from(child_cell),
-                ctx,
-                scratch,
-                counter,
-                meter,
-            );
-        }
-    }
-}
-
-/// The explicit-stack twin of [`walk`]: same depth-first order, same
-/// stamps, same meter tallies, but the per-level state is a 24-byte
-/// [`Frame`] in a reusable buffer instead of a native call frame carrying
-/// a dozen spilled arguments.
-#[allow(clippy::too_many_arguments)]
-fn walk_iterative<S: WordStore, F: HashFn>(
-    tree: &FrozenTree<S>,
-    hash: &F,
-    txn: &[Item],
-    memo: Option<&[u32]>,
+    memo: &[u32],
     ctx: VisitCtx,
     scratch: &mut CountScratch,
     counter: &mut CounterRef<'_>,
@@ -595,7 +504,7 @@ fn walk_iterative<S: WordStore, F: HashFn>(
         let i = top.i as usize;
         top.i += 1;
         let (handle, depth, sig) = (top.handle, top.depth, top.sig);
-        let child_cell = cell_at(hash, txn, memo, i);
+        let child_cell = memo[i];
         let child = tree.store.load(handle, 1 + child_cell);
         if child != NULL_HANDLE {
             if let Some(f) = enter_node(
@@ -888,15 +797,13 @@ mod tests {
         for policy in PlacementPolicy::ALL {
             for h in &hashes {
                 for sc in [false, true] {
-                    for fast in [false, true] {
+                    for trim in [false, true] {
                         let opts = CountOptions {
                             short_circuit: sc,
                             visited: VisitedMode::PerNode,
-                            hash_memo: fast,
-                            iterative: fast,
                         };
-                        let got = tree_counts_opts(policy, &cands, &db, h.as_ref(), opts, fast);
-                        assert_eq!(got, expected, "{policy} sc={sc} fast={fast}");
+                        let got = tree_counts_opts(policy, &cands, &db, h.as_ref(), opts, trim);
+                        assert_eq!(got, expected, "{policy} sc={sc} trim={trim}");
                     }
                 }
             }
@@ -923,53 +830,6 @@ mod tests {
         assert_eq!(got, vec![0]);
     }
 
-    /// The iterative and recursive walks must not merely agree on counts —
-    /// their WorkMeter tallies must be bit-identical, since the simulated
-    /// speedup model is built on those tallies.
-    #[test]
-    fn iterative_walk_meter_is_bit_identical() {
-        let db = paper_db();
-        let cands = c2();
-        let h = BitonicHash::new(3);
-        let b = TreeBuilder::new(&cands, &h, 2);
-        b.insert_all();
-        for visited in [VisitedMode::PerNode, VisitedMode::LevelPath] {
-            for sc in [false, true] {
-                for memo in [false, true] {
-                    let mut meters = Vec::new();
-                    for iterative in [false, true] {
-                        let tree = freeze_policy(&b, PlacementPolicy::Gpp);
-                        let mut scratch = CountScratch::new(db.n_items(), tree.n_nodes());
-                        let mut meter = WorkMeter::default();
-                        let mut cref = CounterRef::Inline;
-                        let opts = CountOptions {
-                            short_circuit: sc,
-                            visited,
-                            hash_memo: memo,
-                            iterative,
-                        };
-                        tree.count_partition(
-                            &h,
-                            &db,
-                            0..db.len(),
-                            None,
-                            &mut scratch,
-                            &mut cref,
-                            opts,
-                            &mut meter,
-                        );
-                        assert_eq!(tree.inline_counts(), naive_counts(&cands, &db));
-                        meters.push(meter);
-                    }
-                    assert_eq!(
-                        meters[0], meters[1],
-                        "visited={visited:?} sc={sc} memo={memo}"
-                    );
-                }
-            }
-        }
-    }
-
     #[test]
     fn item_filter_retains_only_candidate_items() {
         let cands = c2(); // items {1, 2, 4, 5}
@@ -983,10 +843,6 @@ mod tests {
         let mut out = vec![9u32]; // stale contents must be cleared
         f.retain_into(&[0, 1, 2, 3, 4, 5, 6, 7], &mut out);
         assert_eq!(out, vec![1, 2, 4, 5]);
-
-        let g = ItemFilter::from_items([0u32, 65, 127], 128);
-        assert!(g.contains(65) && g.contains(0) && g.contains(127));
-        assert!(!g.contains(64) && !g.contains(1));
     }
 
     /// Trimming edge cases: a transaction trimmed below k items (or to
@@ -1180,7 +1036,6 @@ mod tests {
                         CountOptions {
                             short_circuit: true,
                             visited,
-                            ..CountOptions::default()
                         },
                         &mut meter,
                     );
@@ -1243,7 +1098,6 @@ mod tests {
                 CountOptions {
                     short_circuit: true,
                     visited,
-                    ..CountOptions::default()
                 },
                 &mut meter,
             );
@@ -1281,7 +1135,6 @@ mod tests {
             CountOptions {
                 short_circuit: true,
                 visited: VisitedMode::LevelPath,
-                ..CountOptions::default()
             },
             &mut meter,
         );

@@ -29,38 +29,36 @@ pub enum Counter {
     CtrIncrements = 3,
     /// CAS retries those increments needed (direct contention measure).
     CtrCasRetries = 4,
-    /// Counting-scratch structures allocated from scratch.
-    ScratchAllocs = 5,
     /// Counting-scratch re-targets (pooled reuse instead of allocation).
-    ScratchRetargets = 6,
+    ScratchRetargets = 5,
     /// Bytes of stamp tables sized across all iterations.
-    ScratchStampBytes = 7,
+    ScratchStampBytes = 6,
     /// Bytes of frozen hash trees across all iterations.
-    TreeBytes = 8,
+    TreeBytes = 7,
     /// Reachable nodes of frozen hash trees across all iterations.
-    TreeNodes = 9,
+    TreeNodes = 8,
     /// Scheduler chunks this thread claimed and executed (arm-exec).
-    ChunksExecuted = 10,
+    ChunksExecuted = 9,
     /// Chunks migrated onto this thread by a successful steal.
-    ChunksStolen = 11,
+    ChunksStolen = 10,
     /// Steal probes this thread issued, successful or not.
-    StealAttempts = 12,
+    StealAttempts = 11,
     /// Failed CAS iterations on the shared scheduling cursor.
-    CursorCasRetries = 13,
+    CursorCasRetries = 12,
     /// Tidset intersections performed by the vertical miner (arm-vertical).
-    TidsetIntersections = 14,
+    TidsetIntersections = 13,
     /// `u64` words ANDed by the bitmap intersection kernel.
-    TidsetWordsAnded = 15,
+    TidsetWordsAnded = 14,
     /// Bytes of tidset storage materialized (lists and bitmaps).
-    TidsetBytes = 16,
+    TidsetBytes = 15,
     /// Cancellation checkpoints passed at chunk claims (arm-faults).
-    CancelChecks = 17,
+    CancelChecks = 16,
     /// Fault-plan injections that fired during the run (arm-faults).
-    FaultsInjected = 18,
+    FaultsInjected = 17,
 }
 
 /// Number of distinct counters (shard slot count).
-pub const N_COUNTERS: usize = 19;
+pub const N_COUNTERS: usize = 18;
 
 impl Counter {
     /// Every counter, in slot order.
@@ -70,7 +68,6 @@ impl Counter {
         Counter::LeafLockWaitNs,
         Counter::CtrIncrements,
         Counter::CtrCasRetries,
-        Counter::ScratchAllocs,
         Counter::ScratchRetargets,
         Counter::ScratchStampBytes,
         Counter::TreeBytes,
@@ -94,7 +91,6 @@ impl Counter {
             Counter::LeafLockWaitNs => "leaf_lock_wait_ns",
             Counter::CtrIncrements => "ctr_increments",
             Counter::CtrCasRetries => "ctr_cas_retries",
-            Counter::ScratchAllocs => "scratch_allocs",
             Counter::ScratchRetargets => "scratch_retargets",
             Counter::ScratchStampBytes => "scratch_stamp_bytes",
             Counter::TreeBytes => "tree_bytes",
@@ -369,9 +365,9 @@ mod tests {
     #[test]
     fn shard_index_wraps() {
         let reg = MetricsRegistry::new(2);
-        reg.shard(5).incr(Counter::ScratchAllocs);
+        reg.shard(5).incr(Counter::ScratchRetargets);
         assert_eq!(
-            reg.snapshot().get(1, Counter::ScratchAllocs),
+            reg.snapshot().get(1, Counter::ScratchRetargets),
             if MetricsRegistry::enabled() { 1 } else { 0 }
         );
     }
@@ -380,7 +376,7 @@ mod tests {
     fn zero_threads_still_has_a_shard() {
         let reg = MetricsRegistry::new(0);
         assert_eq!(reg.n_threads(), 1);
-        reg.shard(0).incr(Counter::ScratchAllocs);
+        reg.shard(0).incr(Counter::ScratchRetargets);
     }
 
     #[test]

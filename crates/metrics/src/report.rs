@@ -123,8 +123,6 @@ pub struct MemReport {
     pub tree_bytes: u64,
     /// Reachable frozen-tree nodes summed over iterations.
     pub tree_nodes: u64,
-    /// Counting scratches allocated fresh.
-    pub scratch_allocs: u64,
     /// Pooled scratch re-targets (allocation-free reuse).
     pub scratch_retargets: u64,
     /// Stamp-table bytes sized across iterations.
@@ -266,7 +264,6 @@ impl RunReport {
         self.mem = MemReport {
             tree_bytes: snap.total(Counter::TreeBytes),
             tree_nodes: snap.total(Counter::TreeNodes),
-            scratch_allocs: snap.total(Counter::ScratchAllocs),
             scratch_retargets: snap.total(Counter::ScratchRetargets),
             scratch_stamp_bytes: snap.total(Counter::ScratchStampBytes),
         };
@@ -339,7 +336,6 @@ impl RunReport {
                 Json::Obj(vec![
                     ("tree_bytes".into(), int(self.mem.tree_bytes)),
                     ("tree_nodes".into(), int(self.mem.tree_nodes)),
-                    ("scratch_allocs".into(), int(self.mem.scratch_allocs)),
                     ("scratch_retargets".into(), int(self.mem.scratch_retargets)),
                     (
                         "scratch_stamp_bytes".into(),
@@ -443,7 +439,6 @@ impl RunReport {
         r.mem = MemReport {
             tree_bytes: u64_field(m, "tree_bytes")?,
             tree_nodes: u64_field(m, "tree_nodes")?,
-            scratch_allocs: u64_field(m, "scratch_allocs")?,
             scratch_retargets: u64_field(m, "scratch_retargets")?,
             scratch_stamp_bytes: u64_field(m, "scratch_stamp_bytes")?,
         };
@@ -836,6 +831,32 @@ mod tests {
         assert!(!text.contains("cancel_checks"));
         let back = RunReport::from_json(&text).expect("pre-faults report must parse");
         assert_eq!(back, old);
+    }
+
+    #[test]
+    fn parses_reports_carrying_scratch_allocs() {
+        // Reports written while counting scratch could still be allocated
+        // per iteration carry a "mem.scratch_allocs" field; it is ignored.
+        let r = sample();
+        let with_allocs = match r.to_value() {
+            Json::Obj(fields) => Json::Obj(
+                fields
+                    .into_iter()
+                    .map(|(k, v)| match (k.as_str(), v) {
+                        ("mem", Json::Obj(mut mem)) => {
+                            mem.push(("scratch_allocs".into(), int(3)));
+                            (k, Json::Obj(mem))
+                        }
+                        (_, v) => (k, v),
+                    })
+                    .collect(),
+            ),
+            _ => unreachable!(),
+        };
+        let text = with_allocs.pretty();
+        assert!(text.contains("\"scratch_allocs\": 3"));
+        let back = RunReport::from_json(&text).expect("report with scratch_allocs must parse");
+        assert_eq!(back, r);
     }
 
     #[test]

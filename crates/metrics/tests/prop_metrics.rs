@@ -57,7 +57,7 @@ proptest! {
         floats in vec(0.0f64..1.0e9, 3),
         phases in vec((0usize..NAMES.len(), 1u32..16, vec(0u64..MAX_INT, 0..5)), 0..6),
         threads in vec(vec(0u64..MAX_INT, 15), 0..5),
-        lock_mem in vec(0u64..MAX_INT, 19),
+        lock_mem in vec(0u64..MAX_INT, 18),
         iters in vec((1u32..16, vec(0u64..MAX_INT, 4)), 0..6),
         phase_floats in vec(0.0f64..1.0e6, 12),
     ) {
@@ -112,26 +112,25 @@ proptest! {
                 ctr_cas_retries: lock_mem[4],
             },
             sched: SchedReport {
-                chunks_executed: lock_mem[10],
-                chunks_stolen: lock_mem[11],
-                steal_attempts: lock_mem[12],
-                cursor_cas_retries: lock_mem[13],
+                chunks_executed: lock_mem[9],
+                chunks_stolen: lock_mem[10],
+                steal_attempts: lock_mem[11],
+                cursor_cas_retries: lock_mem[12],
             },
             vertical: VerticalReport {
-                intersections: lock_mem[14],
-                words_anded: lock_mem[15],
-                tidset_bytes: lock_mem[16],
+                intersections: lock_mem[13],
+                words_anded: lock_mem[14],
+                tidset_bytes: lock_mem[15],
             },
             faults: FaultReport {
-                cancel_checks: lock_mem[17],
-                faults_injected: lock_mem[18],
+                cancel_checks: lock_mem[16],
+                faults_injected: lock_mem[17],
             },
             mem: MemReport {
                 tree_bytes: lock_mem[5],
                 tree_nodes: lock_mem[6],
-                scratch_allocs: lock_mem[7],
-                scratch_retargets: lock_mem[8],
-                scratch_stamp_bytes: lock_mem[9],
+                scratch_retargets: lock_mem[7],
+                scratch_stamp_bytes: lock_mem[8],
             },
             iters: iters
                 .iter()

@@ -16,9 +16,8 @@
 //! The data-parallel phases (F1, tree build, counting) draw their work from
 //! an [`arm_exec::ChunkPool`] seeded with the phase's static split: under
 //! `Scheduling::Static` each thread receives exactly its block (the paper's
-//! behavior and the differential oracle), while the chunked/guided/stealing
-//! modes re-balance the same indices at run time without changing any
-//! result.
+//! behavior and the differential oracle), while `Scheduling::Stealing`
+//! re-balances the same indices at run time without changing any result.
 //!
 //! Every phase records wall time and per-thread work for the speedup model
 //! in [`crate::stats`].
@@ -35,8 +34,7 @@ use arm_dataset::{block_ranges, weighted_ranges, weighted_ranges_for_k, Database
 use arm_exec::ChunkPool;
 use arm_faults::{try_run_threads, CancelToken, MiningError, RunControl};
 use arm_hashtree::{
-    freeze_policy, CandidateSet, CountOptions, CountScratch, CounterRef, ItemFilter, TreeBuilder,
-    WorkMeter,
+    freeze_policy, CandidateSet, CountOptions, CounterRef, ItemFilter, TreeBuilder, WorkMeter,
 };
 use arm_mem::counters::reduce;
 use arm_mem::{FlatCounters, LocalCounters};
@@ -120,12 +118,9 @@ pub fn try_mine(
     span.finish_serial();
 
     let f1_item_list = f1_items(&f1);
-    // With `reuse_scratch`, one counting scratch per worker lives across
-    // all iterations (re-targeted per tree) instead of being reallocated.
-    let scratch_pool = cfg
-        .base
-        .reuse_scratch
-        .then(|| ScratchPool::new(p, db.n_items()));
+    // One counting scratch per worker lives across all iterations
+    // (re-targeted per tree) instead of being reallocated.
+    let scratch_pool = ScratchPool::new(p, db.n_items());
     let mut iter_stats = vec![IterStats {
         k: 1,
         n_candidates: db.n_items() as usize,
@@ -241,19 +236,14 @@ pub fn try_mine(
         let opts = CountOptions {
             short_circuit: cfg.base.short_circuit,
             visited: cfg.base.visited,
-            hash_memo: cfg.base.hash_memo,
-            iterative: cfg.base.iterative_walk,
         };
         // Shared read-only trim filter for this iteration's candidates.
-        let filter = cfg
-            .base
-            .trim_transactions
-            .then(|| ItemFilter::from_candidates(&cands, db.n_items()));
+        let filter = ItemFilter::from_candidates(&cands, db.n_items());
         let inline = tree.counters_inline();
         let per_thread = cfg.base.placement.per_thread_counters();
         let shared = (!inline && !per_thread).then(|| FlatCounters::new(cands.len()));
 
-        // Dynamic modes re-chunk the very same partition the static split
+        // Stealing re-chunks the very same partition the static split
         // would use, so a weighted DbPartition still seeds the deques with
         // its cost estimate and stealing only corrects the residual error.
         let pool =
@@ -261,21 +251,9 @@ pub fn try_mine(
         let outcomes: Vec<(WorkMeter, Option<LocalCounters>)> =
             try_run_threads(p, "count", &ctrl.cancel, |t| {
                 let shard = metrics.shard(t);
-                let mut pooled;
-                let mut fresh;
-                let scratch: &mut CountScratch = match &scratch_pool {
-                    Some(pool) => {
-                        pooled = pool.slot(t);
-                        pooled.retarget(tree.n_nodes());
-                        shard.incr(Counter::ScratchRetargets);
-                        &mut pooled
-                    }
-                    None => {
-                        fresh = CountScratch::new(db.n_items(), tree.n_nodes());
-                        shard.incr(Counter::ScratchAllocs);
-                        &mut fresh
-                    }
-                };
+                let mut scratch = scratch_pool.slot(t);
+                scratch.retarget(tree.n_nodes());
+                shard.incr(Counter::ScratchRetargets);
                 let mut meter = WorkMeter::default();
                 let mut local = per_thread.then(|| LocalCounters::new(cands.len()));
                 // Shared counters go through the tallying wrapper so striped
@@ -299,8 +277,8 @@ pub fn try_mine(
                             &hash,
                             db,
                             r,
-                            filter.as_ref(),
-                            scratch,
+                            Some(&filter),
+                            &mut scratch,
                             &mut cref,
                             opts,
                             &mut meter,
@@ -566,12 +544,7 @@ mod tests {
         use arm_exec::Scheduling;
         let db = paper_db();
         let expected = mine_seq(&db, &base_cfg()).all_itemsets();
-        for mode in [
-            Scheduling::Static,
-            Scheduling::Chunked { chunk: 1 },
-            Scheduling::Guided,
-            Scheduling::Stealing,
-        ] {
+        for mode in [Scheduling::Static, Scheduling::Stealing] {
             for p in [1usize, 2, 4] {
                 let cfg = ParallelConfig::new(base_cfg(), p).with_scheduling(mode);
                 let (r, _) = mine(&db, &cfg);

@@ -38,11 +38,12 @@ pub struct ParallelConfig {
     pub parallel_candgen_min: usize,
     /// Database partitioning strategy for the counting phase.
     pub db_partition: DbPartition,
-    /// How data-parallel phases (F1, tree build, counting) distribute
-    /// their index space at run time. `Static` is the paper's fixed split
-    /// (and the differential-test oracle); the dynamic modes re-balance
-    /// the same partition via an `arm-exec` chunk pool without changing
-    /// any result.
+    /// How CCPD's data-parallel phases (F1, tree build, counting)
+    /// distribute their index space at run time. `Static` is the paper's
+    /// fixed split (and the differential-test oracle); `Stealing`
+    /// re-balances the same partition via an `arm-exec` chunk pool without
+    /// changing any result. PCCD ignores it: every thread always scans
+    /// the whole database against its own bin's tree, as in the paper.
     pub scheduling: Scheduling,
 }
 
@@ -97,10 +98,10 @@ mod tests {
         let c = ParallelConfig::new(AprioriConfig::default(), 2)
             .with_candgen(Scheme::Block)
             .with_db_partition(DbPartition::WeightedPerIteration)
-            .with_scheduling(Scheduling::Chunked { chunk: 128 });
+            .with_scheduling(Scheduling::Static);
         assert_eq!(c.candgen_scheme, Scheme::Block);
         assert_eq!(c.db_partition, DbPartition::WeightedPerIteration);
-        assert_eq!(c.scheduling, Scheduling::Chunked { chunk: 128 });
+        assert_eq!(c.scheduling, Scheduling::Static);
         assert_eq!(DbPartition::default(), DbPartition::Block);
     }
 }

@@ -6,25 +6,21 @@
 //! the paper measured a speed-*down* and dropped the approach; we keep it
 //! as the baseline it is (Fig. 11 commentary, DESIGN.md experiment index).
 
-use crate::ccpd::record_exec;
 use crate::config::ParallelConfig;
 use crate::scratch::ScratchPool;
 use crate::stats::ParallelRunStats;
 use arm_faults::{try_run_threads, MiningError, RunControl};
-use arm_metrics::{Counter, MetricsRegistry, TalliedCounters};
+use arm_metrics::{Counter, MetricsRegistry};
 
 use arm_core::{
     adaptive_fanout, count_singletons, equivalence_classes, f1_items, frequent_from_counts,
     generate_class, make_hash, FrequentLevel, IterStats, MiningResult,
 };
-use arm_dataset::{block_ranges, Database};
-use arm_exec::{ChunkPool, Scheduling};
+use arm_dataset::Database;
 use arm_hashtree::{
-    freeze_policy, AnyFrozenTree, CandidateSet, CountOptions, CountScratch, CounterRef, ItemFilter,
-    TreeBuilder, WorkMeter,
+    freeze_policy, CandidateSet, CountOptions, CounterRef, ItemFilter, TreeBuilder, WorkMeter,
 };
-use arm_mem::{FlatCounters, LocalCounters};
-use std::ops::Range;
+use arm_mem::LocalCounters;
 use std::time::Instant;
 
 /// Runs PCCD, returning the mining result (identical to sequential) and
@@ -37,9 +33,11 @@ pub fn mine(db: &Database, cfg: &ParallelConfig) -> (MiningResult, ParallelRunSt
 }
 
 /// Runs PCCD under a [`RunControl`]: cancellation is observed once per
-/// worker scan under `Static` scheduling and once per (bin, db-chunk)
-/// claim under the dynamic modes; fault-plan sites fire in phase `count`.
-/// Same `Err` guarantees as [`crate::ccpd::try_mine`].
+/// worker scan; fault-plan sites fire in phase `count`. Same `Err`
+/// guarantees as [`crate::ccpd::try_mine`].
+///
+/// Every [`Scheduling`](arm_exec::Scheduling) mode counts the same way:
+/// each thread scans the whole database against its own bin's tree.
 pub fn try_mine(
     db: &Database,
     cfg: &ParallelConfig,
@@ -61,10 +59,7 @@ pub fn try_mine(
 
     let f1_item_list = f1_items(&f1);
     // Same pooling as CCPD: one scratch per worker across all iterations.
-    let scratch_pool = cfg
-        .base
-        .reuse_scratch
-        .then(|| ScratchPool::new(p, db.n_items()));
+    let scratch_pool = ScratchPool::new(p, db.n_items());
     let mut iter_stats = vec![IterStats {
         k: 1,
         n_candidates: db.n_items() as usize,
@@ -122,44 +117,23 @@ pub fn try_mine(
         let assignment = cfg.candgen_scheme.assign(&weights, p);
 
         // Each thread: local tree over its candidates, full database scan.
-        // Under `Static` each bin is scanned start-to-finish by its owner
-        // (the paper's formulation, kept verbatim as the oracle); the
-        // dynamic modes chunk every bin's scan over (bin, db-chunk) units
-        // so a thread that finishes its own tree helps scan the others.
         let span = metrics.phase("count", k);
         let opts = CountOptions {
             short_circuit: cfg.base.short_circuit,
             visited: cfg.base.visited,
-            hash_memo: cfg.base.hash_memo,
-            iterative: cfg.base.iterative_walk,
         };
-        let (bin_counts, meters, tree_bytes, tree_nodes) = if cfg.scheduling == Scheduling::Static {
-            count_static(
-                db,
-                cfg,
-                &cands,
-                &hash,
-                &assignment.bins,
-                &scratch_pool,
-                opts,
-                &metrics,
-                p,
-                ctrl,
-            )?
-        } else {
-            count_dynamic(
-                db,
-                cfg,
-                &cands,
-                &hash,
-                &assignment.bins,
-                &scratch_pool,
-                opts,
-                &metrics,
-                p,
-                ctrl,
-            )?
-        };
+        let (bin_counts, meters, tree_bytes, tree_nodes) = count_bins(
+            db,
+            cfg,
+            &cands,
+            &hash,
+            &assignment.bins,
+            &scratch_pool,
+            opts,
+            &metrics,
+            p,
+            ctrl,
+        )?;
         let count_work: Vec<u64> = meters.iter().map(|m| m.work_units()).collect();
         for (rm, m) in run_meters.iter_mut().zip(&meters) {
             rm.merge(m);
@@ -234,20 +208,20 @@ pub fn try_mine(
 /// final counts, slot-aligned.
 type BinCounts = Vec<(Vec<u32>, Vec<u32>)>;
 
-/// The paper's static formulation, kept verbatim as the differential
-/// oracle: bin `t`'s owner builds its local tree and scans the entire
-/// database alone, accumulating into private `LocalCounters`.
+/// The paper's formulation: bin `t`'s owner builds its local tree and
+/// scans the entire database alone, accumulating into private
+/// `LocalCounters`.
 ///
 /// Returns per-bin (ids, counts), per-thread meters, and total tree
 /// bytes/nodes across bins.
 #[allow(clippy::too_many_arguments)]
-fn count_static(
+fn count_bins(
     db: &Database,
     cfg: &ParallelConfig,
     cands: &CandidateSet,
     hash: &arm_balance::AnyHash,
     bins: &[Vec<usize>],
-    scratch_pool: &Option<ScratchPool>,
+    scratch_pool: &ScratchPool,
     opts: CountOptions,
     metrics: &MetricsRegistry,
     p: usize,
@@ -264,8 +238,7 @@ fn count_static(
             local_set.push(cands.get(id as u32));
         }
         let mut meter = WorkMeter::default();
-        // The static formulation is one indivisible full-database scan per
-        // thread, so this single checkpoint is its whole cancellation
+        // Each thread's count is one indivisible full-database scan, so this single checkpoint is its whole cancellation
         // surface — the latency bound counts it as one claim. The caller's
         // phase gate discards the empty partial on cancellation.
         ctrl.faults.fire("count", t, 0);
@@ -281,26 +254,11 @@ fn count_static(
         shard.add(Counter::TreeNodes, tree.n_nodes() as u64);
         // Each worker trims against its *own* candidate subset — a
         // tighter (still lossless) filter than the global one.
-        let filter = cfg
-            .base
-            .trim_transactions
-            .then(|| ItemFilter::from_candidates(&local_set, db.n_items()));
-        let filter = filter.as_ref();
-        let mut pooled;
-        let mut fresh;
-        let scratch: &mut CountScratch = match scratch_pool {
-            Some(pool) => {
-                shard.incr(Counter::ScratchRetargets);
-                pooled = pool.slot(t);
-                pooled.retarget(tree.n_nodes());
-                &mut pooled
-            }
-            None => {
-                shard.incr(Counter::ScratchAllocs);
-                fresh = CountScratch::new(db.n_items(), tree.n_nodes());
-                &mut fresh
-            }
-        };
+        let filter = ItemFilter::from_candidates(&local_set, db.n_items());
+        let filter = Some(&filter);
+        shard.incr(Counter::ScratchRetargets);
+        let mut scratch = scratch_pool.slot(t);
+        scratch.retarget(tree.n_nodes());
         let local_counts: Vec<u32> = if tree.counters_inline() {
             let mut cref = CounterRef::Inline;
             tree.count_partition(
@@ -308,7 +266,7 @@ fn count_static(
                 db,
                 0..db.len(),
                 filter,
-                scratch,
+                &mut scratch,
                 &mut cref,
                 opts,
                 &mut meter,
@@ -323,7 +281,7 @@ fn count_static(
                     db,
                     0..db.len(),
                     filter,
-                    scratch,
+                    &mut scratch,
                     &mut cref,
                     opts,
                     &mut meter,
@@ -350,152 +308,6 @@ fn count_static(
         meters.push(meter);
         tree_bytes += tb;
         tree_nodes += tn;
-    }
-    Ok((bin_counts, meters, tree_bytes, tree_nodes))
-}
-
-/// One bin's shared state for the dynamic count: the frozen local tree,
-/// the bin's trim filter, its global candidate ids, and (when the tree's
-/// counters are not inline) a shared atomic counter array any thread can
-/// increment.
-struct BinTree {
-    tree: AnyFrozenTree,
-    filter: Option<ItemFilter>,
-    ids: Vec<u32>,
-    shared: Option<FlatCounters>,
-}
-
-/// The dynamic formulation: tree builds stay with the bin owner (one per
-/// thread, as in the paper), but the `P` full database scans are chunked
-/// into (bin, db-chunk) units drawn from a [`ChunkPool`]. Bin `t`'s units
-/// seed thread `t`'s share, so under low skew threads mostly scan their
-/// own tree (warm cache); a thread that runs dry helps scan another bin's
-/// tree, incrementing that bin's *shared atomic* counters.
-///
-/// Counts are bit-identical to [`count_static`]: every (transaction, bin)
-/// pair is scanned exactly once and counter increments are commutative
-/// atomic adds — only their distribution over threads changes. (Placement
-/// policies whose counters live outside the tree use `FlatCounters` here
-/// instead of per-thread arrays; same totals, now steal-safe.)
-#[allow(clippy::too_many_arguments)]
-fn count_dynamic(
-    db: &Database,
-    cfg: &ParallelConfig,
-    cands: &CandidateSet,
-    hash: &arm_balance::AnyHash,
-    bins: &[Vec<usize>],
-    scratch_pool: &Option<ScratchPool>,
-    opts: CountOptions,
-    metrics: &MetricsRegistry,
-    p: usize,
-    ctrl: &RunControl,
-) -> Result<(BinCounts, Vec<WorkMeter>, usize, u32), MiningError> {
-    let k = cands.k();
-    // Bin `t`'s tree is built by thread `t`, exactly as in the static path.
-    let bin_trees: Vec<Option<BinTree>> = try_run_threads(p, "count", &ctrl.cancel, |t| {
-        let shard = metrics.shard(t);
-        let ids = &bins[t];
-        let mut local_set = CandidateSet::new(k);
-        for &id in ids {
-            local_set.push(cands.get(id as u32));
-        }
-        if local_set.is_empty() {
-            return None;
-        }
-        let builder = TreeBuilder::new(&local_set, hash, cfg.base.leaf_threshold);
-        builder.insert_all_tallied(shard);
-        let tree = freeze_policy(&builder, cfg.base.placement);
-        shard.add(Counter::TreeBytes, tree.total_bytes() as u64);
-        shard.add(Counter::TreeNodes, tree.n_nodes() as u64);
-        let filter = cfg
-            .base
-            .trim_transactions
-            .then(|| ItemFilter::from_candidates(&local_set, db.n_items()));
-        let shared = (!tree.counters_inline()).then(|| FlatCounters::new(local_set.len()));
-        Some(BinTree {
-            tree,
-            filter,
-            ids: ids.iter().map(|&i| i as u32).collect(),
-            shared,
-        })
-    })?;
-
-    // Unit space: bin b × database chunk c, flattened as b·n_chunks + c.
-    // Chunks never cross a seed boundary, so every claimed range lies in
-    // one bin.
-    let n_chunks = db.len().min(4 * p).max(1);
-    let db_chunks = block_ranges(db.len(), n_chunks);
-    let seeds: Vec<Range<usize>> = (0..p).map(|t| t * n_chunks..(t + 1) * n_chunks).collect();
-    let pool =
-        ChunkPool::with_floor(&seeds, cfg.scheduling, 1).with_cancel_token(ctrl.cancel.clone());
-    let meters: Vec<WorkMeter> = try_run_threads(p, "count", &ctrl.cancel, |t| {
-        let shard = metrics.shard(t);
-        let mut meter = WorkMeter::default();
-        let mut pooled;
-        let mut fresh;
-        let scratch: &mut CountScratch = match scratch_pool {
-            Some(sp) => {
-                pooled = sp.slot(t);
-                &mut pooled
-            }
-            None => {
-                shard.incr(Counter::ScratchAllocs);
-                fresh = CountScratch::new(db.n_items(), 0);
-                &mut fresh
-            }
-        };
-        let mut cur_bin = usize::MAX;
-        let mut claim = 0u64;
-        while let Some(units) = pool.next(t) {
-            ctrl.faults.fire("count", t, claim);
-            claim += 1;
-            for u in units {
-                let (bin, chunk) = (u / n_chunks, u % n_chunks);
-                let Some(bt) = &bin_trees[bin] else { continue };
-                if bin != cur_bin {
-                    // Different tree: the stamp tables must be re-zeroed.
-                    scratch.retarget(bt.tree.n_nodes());
-                    shard.incr(Counter::ScratchRetargets);
-                    cur_bin = bin;
-                }
-                let tallied = bt.shared.as_ref().map(|s| TalliedCounters::new(s, shard));
-                let mut cref = match tallied.as_ref() {
-                    Some(tc) => CounterRef::Shared(tc),
-                    None => CounterRef::Inline,
-                };
-                bt.tree.count_partition(
-                    hash,
-                    db,
-                    db_chunks[chunk].clone(),
-                    bt.filter.as_ref(),
-                    scratch,
-                    &mut cref,
-                    opts,
-                    &mut meter,
-                );
-            }
-        }
-        shard.add(Counter::ScratchStampBytes, scratch.stamp_bytes() as u64);
-        meter
-    })?;
-    record_exec(metrics, &pool);
-
-    let mut bin_counts = Vec::with_capacity(p);
-    let mut tree_bytes = 0usize;
-    let mut tree_nodes = 0u32;
-    for bt in bin_trees {
-        match bt {
-            None => bin_counts.push((Vec::new(), Vec::new())),
-            Some(bt) => {
-                tree_bytes += bt.tree.total_bytes();
-                tree_nodes += bt.tree.n_nodes();
-                let counts = match &bt.shared {
-                    Some(s) => s.snapshot(),
-                    None => bt.tree.inline_counts(),
-                };
-                bin_counts.push((bt.ids, counts));
-            }
-        }
     }
     Ok((bin_counts, meters, tree_bytes, tree_nodes))
 }
@@ -538,38 +350,23 @@ mod tests {
     }
 
     #[test]
-    fn scheduling_modes_agree_with_static() {
-        let db = paper_db();
-        let static_cfg = ParallelConfig::new(base_cfg(), 3).with_scheduling(Scheduling::Static);
-        let (oracle, _) = mine(&db, &static_cfg);
-        for mode in [
-            Scheduling::Chunked { chunk: 1 },
-            Scheduling::Guided,
-            Scheduling::Stealing,
-        ] {
-            for p in [1usize, 2, 3, 8] {
-                let cfg = ParallelConfig::new(base_cfg(), p).with_scheduling(mode);
-                let (r, _) = mine(&db, &cfg);
-                assert_eq!(r.all_itemsets(), oracle.all_itemsets(), "{mode:?} P={p}");
-            }
-        }
-    }
-
-    #[test]
     fn duplicated_scan_work_exceeds_ccpd() {
         // PCCD's defining pathology: total counting work grows with P
-        // because every thread scans the full database. Trimming is off so
-        // the transaction tallies reflect the raw duplicated scans (PCCD's
-        // per-thread filters would otherwise skip trimmed-short txns).
+        // because every thread scans the full database. Each thread trims
+        // transactions against its own bin, and a transaction trimmed
+        // below k items is not tallied. At k=3 the one candidate leaves
+        // two of the three bins empty, so the run-wide tally shows less
+        // than the duplication; k=2 is the iteration where all three bins
+        // hold candidates, so it is the one compared.
         let db = paper_db();
-        let cfg = AprioriConfig {
-            trim_transactions: false,
-            ..base_cfg()
+        let (ccpd_r, _) = ccpd::mine(&db, &ParallelConfig::new(base_cfg(), 3));
+        let (pccd_r, _) = mine(&db, &ParallelConfig::new(base_cfg(), 3));
+        let txns_at_k2 = |r: &MiningResult| {
+            let it = r.iter_stats.iter().find(|s| s.k == 2).expect("k=2 ran");
+            it.meter.txns
         };
-        let (_, ccpd_stats) = ccpd::mine(&db, &ParallelConfig::new(cfg.clone(), 3));
-        let (_, pccd_stats) = mine(&db, &ParallelConfig::new(cfg, 3));
-        let ccpd_txns: u64 = ccpd_stats.count_meters.iter().map(|m| m.txns).sum();
-        let pccd_txns: u64 = pccd_stats.count_meters.iter().map(|m| m.txns).sum();
+        let ccpd_txns = txns_at_k2(&ccpd_r);
+        let pccd_txns = txns_at_k2(&pccd_r);
         assert!(
             pccd_txns > 2 * ccpd_txns,
             "PCCD txns {pccd_txns} vs CCPD {ccpd_txns}"

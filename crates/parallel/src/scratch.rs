@@ -1,10 +1,8 @@
 //! Thread-persistent counting scratch shared by the CCPD and PCCD
 //! drivers.
 //!
-//! Without pooling, every counting phase allocated a fresh
-//! [`CountScratch`] (bitmap + stamp tables + fast-path buffers) per
-//! thread per iteration. The pool keeps one slot per worker alive for the
-//! whole mining run; workers re-target their slot at each iteration's
+//! The pool keeps one [`CountScratch`] (bitmap, stamp tables, memo, trim
+//! and frame buffers) per worker alive for the whole mining run; workers re-target their slot at each iteration's
 //! tree ([`CountScratch::retarget`] re-zeroes the stamp table in place
 //! and keeps every other allocation), so steady-state iterations allocate
 //! nothing.

@@ -144,10 +144,10 @@ mod tests {
     fn builders() {
         let c = VerticalConfig::default()
             .with_backend(TidBackend::Sorted)
-            .with_scheduling(Scheduling::Guided)
+            .with_scheduling(Scheduling::Static)
             .with_switch_level(3);
         assert_eq!(c.backend, TidBackend::Sorted);
-        assert_eq!(c.scheduling, Scheduling::Guided);
+        assert_eq!(c.scheduling, Scheduling::Static);
         assert_eq!(c.switch_level, 3);
     }
 }

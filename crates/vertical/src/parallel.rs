@@ -12,8 +12,8 @@
 //!
 //! Class weights for the initial split are the suffix sums of member
 //! supports: member `i` joins with every later member, so the tidset
-//! lengths it touches are `Σ_{j ≥ i} |tids_j|`. Dynamic modes (guided,
-//! stealing) re-balance mis-estimates at run time.
+//! lengths it touches are `Σ_{j ≥ i} |tids_j|`. `Stealing` re-balances
+//! mis-estimates at run time.
 
 use crate::config::VerticalConfig;
 use crate::driver::{
@@ -307,12 +307,7 @@ mod tests {
     #[test]
     fn parallel_matches_sequential_all_backends_and_modes() {
         let db = paper_db();
-        let modes = [
-            Scheduling::Static,
-            Scheduling::Guided,
-            Scheduling::Stealing,
-            Scheduling::Chunked { chunk: 1 },
-        ];
+        let modes = [Scheduling::Static, Scheduling::Stealing];
         for backend in [TidBackend::Auto, TidBackend::Sorted, TidBackend::Bitmap] {
             for mode in modes {
                 let cfg = VerticalConfig::default()

@@ -146,7 +146,7 @@ fn pre_cancelled_token_fails_at_the_first_gate() {
 fn cancel_after_checks_bounds_observation_latency() {
     for miner in Miner::ALL {
         for &p in &[1usize, 2, 4, max_threads()] {
-            for mode in [Scheduling::Stealing, Scheduling::Chunked { chunk: 2 }] {
+            for mode in [Scheduling::Stealing, Scheduling::Static] {
                 // Randomized-but-reproducible trigger points across the
                 // run (claim ordinals are logical, not wall-clock).
                 for n in [1u64, 2, 5, 11, 23, 47] {
@@ -232,7 +232,9 @@ fn empty_database_cancellation_returns_promptly() {
         let token = CancelToken::new();
         token.cancel();
         let ctrl = RunControl::with_cancel(token);
-        let err = miner.run(&empty, 2, Scheduling::Guided, &ctrl).unwrap_err();
+        let err = miner
+            .run(&empty, 2, Scheduling::Stealing, &ctrl)
+            .unwrap_err();
         assert!(
             matches!(err, MiningError::Cancelled { .. }),
             "{miner:?}: got {err:?}"

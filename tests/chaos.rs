@@ -82,12 +82,7 @@ fn vcfg(mode: Scheduling) -> VerticalConfig {
         .with_switch_level(2)
 }
 
-const MODES: [Scheduling; 4] = [
-    Scheduling::Static,
-    Scheduling::Chunked { chunk: 2 },
-    Scheduling::Guided,
-    Scheduling::Stealing,
-];
+const MODES: [Scheduling; 2] = [Scheduling::Static, Scheduling::Stealing];
 
 /// Every fallible miner, normalized to its sorted itemset list so the
 /// whole matrix shares one comparison.
@@ -293,7 +288,7 @@ fn panic_phase_is_always_a_known_phase() {
     for miner in Miner::ALL {
         for &site in miner.sites() {
             let ctrl = RunControl::with_faults(FaultPlan::new().panic_at(site, None, None));
-            let err = miner.run(2, Scheduling::Guided, &ctrl).unwrap_err();
+            let err = miner.run(2, Scheduling::Stealing, &ctrl).unwrap_err();
             assert!(
                 miner.phases().contains(&err.phase()),
                 "{miner:?}: {} not in the miner's phase set",
