@@ -8,12 +8,11 @@ use crate::level::FrequentLevel;
 use arm_balance::{AnyHash, IndirectionHash, ModHash};
 use arm_dataset::{Database, Item};
 use arm_hashtree::{
-    freeze_policy, CandidateSet, CountOptions, CountScratch, CounterRef, ItemFilter, TreeBuilder,
+    freeze_policy, CandidateSet, CountOptions, CountScratch, ItemFilter, Tally, TreeBuilder,
     WorkMeter,
 };
-use arm_mem::counters::reduce;
-use arm_mem::{FlatCounters, LocalCounters};
-use arm_metrics::{Counter, MetricsRegistry, PhaseSpan, TalliedCounters};
+use arm_metrics::{Counter, MetricsRegistry, PhaseSpan};
+use std::ops::Range;
 
 /// Per-iteration measurements (feed Figs. 6, 7, 10 and the work model).
 #[derive(Debug, Clone)]
@@ -92,6 +91,27 @@ pub fn make_hash(scheme: HashScheme, h: u32, f1_items: &[Item], n_items: u32) ->
             AnyHash::Indirection(IndirectionHash::for_frequent_items(f1_items, n_items, h))
         }
     }
+}
+
+/// Iteration `k`'s hash-table fan-out (adaptive over the `F_{k-1}`
+/// equivalence `classes`, or `config.fixed_fanout`) and the configured
+/// hash function over it.
+pub fn level_hash(
+    config: &AprioriConfig,
+    classes: &[Range<u32>],
+    k: u32,
+    f1_items: &[Item],
+    n_items: u32,
+) -> (u32, AnyHash) {
+    let fanout = if config.adaptive_fanout {
+        adaptive_fanout(classes, config.leaf_threshold, k)
+    } else {
+        config.fixed_fanout
+    };
+    (
+        fanout,
+        make_hash(config.hash_scheme, fanout, f1_items, n_items),
+    )
 }
 
 /// Extracts the raw item list of `F_1` (the basis of the bitonic
@@ -195,12 +215,7 @@ pub fn mine_with(
             break;
         }
 
-        let fanout = if config.adaptive_fanout {
-            adaptive_fanout(&classes, config.leaf_threshold, k)
-        } else {
-            config.fixed_fanout
-        };
-        let hash = make_hash(config.hash_scheme, fanout, &f1_item_list, db.n_items());
+        let (fanout, hash) = level_hash(config, &classes, k, &f1_item_list, db.n_items());
 
         // Build + freeze the candidate hash tree.
         let span = phase(metrics, "build", k);
@@ -225,6 +240,8 @@ pub fn mine_with(
 
         // Support counting.
         let span = phase(metrics, "count", k);
+        let tally = Tally::new(tree, 1);
+        let tree = tally.tree();
         let filter = ItemFilter::from_candidates(&cands, db.n_items());
         let filter = Some(&filter);
         scratch.retarget(tree.n_nodes());
@@ -232,56 +249,20 @@ pub fn mine_with(
             m.shard(0).incr(Counter::ScratchRetargets);
         }
         let mut meter = WorkMeter::default();
-        let counts: Vec<u32> = if tree.counters_inline() {
-            let mut cref = CounterRef::Inline;
+        tally.with_counter(0, metrics.map(|m| m.shard(0)), |counter| {
             tree.count_partition(
                 &hash,
                 db,
                 0..db.len(),
                 filter,
                 &mut scratch,
-                &mut cref,
+                counter,
                 opts,
                 &mut meter,
-            );
-            tree.inline_counts()
-        } else if config.placement.per_thread_counters() {
-            let mut local = LocalCounters::new(cands.len());
-            {
-                let mut cref = CounterRef::Local(&mut local);
-                tree.count_partition(
-                    &hash,
-                    db,
-                    0..db.len(),
-                    filter,
-                    &mut scratch,
-                    &mut cref,
-                    opts,
-                    &mut meter,
-                );
-            }
-            reduce(&[local])
-        } else {
-            let shared = FlatCounters::new(cands.len());
-            {
-                let tallied = metrics.map(|m| TalliedCounters::new(&shared, m.shard(0)));
-                let mut cref = match &tallied {
-                    Some(t) => CounterRef::Shared(t),
-                    None => CounterRef::Shared(&shared),
-                };
-                tree.count_partition(
-                    &hash,
-                    db,
-                    0..db.len(),
-                    filter,
-                    &mut scratch,
-                    &mut cref,
-                    opts,
-                    &mut meter,
-                );
-            }
-            shared.snapshot()
-        };
+            )
+        });
+        let (tree_bytes, tree_nodes) = (tree.total_bytes(), tree.n_nodes());
+        let counts = tally.counts();
         if let Some(m) = metrics {
             m.shard(0)
                 .add(Counter::ScratchStampBytes, scratch.stamp_bytes() as u64);
@@ -292,15 +273,7 @@ pub fn mine_with(
 
         // Frequent extraction.
         let span = phase(metrics, "extract", k);
-        let mut fk_sets = CandidateSet::new(k);
-        let mut fk_supports = Vec::new();
-        for (id, items) in cands.iter() {
-            if counts[id as usize] >= min_support {
-                fk_sets.push(items);
-                fk_supports.push(counts[id as usize]);
-            }
-        }
-        let fk = FrequentLevel::new(fk_sets, fk_supports);
+        let fk = FrequentLevel::select(&cands, &counts, min_support);
         if let Some(s) = span {
             s.finish_serial();
         }
@@ -310,8 +283,8 @@ pub fn mine_with(
             n_candidates: cands.len(),
             n_frequent: fk.len(),
             fanout,
-            tree_bytes: tree.total_bytes(),
-            tree_nodes: tree.n_nodes(),
+            tree_bytes,
+            tree_nodes,
             join_pairs,
             meter,
         });

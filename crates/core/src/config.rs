@@ -58,7 +58,9 @@ pub struct AprioriConfig {
     /// DHP-style pair filtering (Park et al.): collect a hashed pair-count
     /// table of this many buckets during the first scan and prune `C_2`
     /// candidates whose bucket count is below the minimum support.
-    /// `None` disables the filter (the paper's configuration).
+    /// `None` disables the filter (the paper's configuration). Sequential
+    /// Apriori and CCPD apply it; PCCD ignores it and counts every
+    /// generated `C_2` candidate.
     pub pair_filter_buckets: Option<usize>,
     /// Memory placement policy (§5).
     pub placement: PlacementPolicy,

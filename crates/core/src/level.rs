@@ -21,6 +21,21 @@ impl FrequentLevel {
         FrequentLevel { itemsets, supports }
     }
 
+    /// Selects the candidates whose count reaches `min_support`:
+    /// `counts[id]` is candidate `id`'s support. Candidate order (sorted)
+    /// carries over to the level.
+    pub fn select(cands: &CandidateSet, counts: &[u32], min_support: u32) -> Self {
+        let mut itemsets = CandidateSet::new(cands.k());
+        let mut supports = Vec::new();
+        for (id, items) in cands.iter() {
+            if counts[id as usize] >= min_support {
+                itemsets.push(items);
+                supports.push(counts[id as usize]);
+            }
+        }
+        FrequentLevel::new(itemsets, supports)
+    }
+
     /// Itemset length `k`.
     pub fn k(&self) -> u32 {
         self.itemsets.k()

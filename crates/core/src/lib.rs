@@ -42,7 +42,7 @@ pub mod rules;
 pub mod summaries;
 pub mod taxonomy;
 
-pub use apriori::{f1_items, make_hash, mine, mine_with, IterStats, MiningResult};
+pub use apriori::{f1_items, level_hash, make_hash, mine, mine_with, IterStats, MiningResult};
 pub use config::{AprioriConfig, HashScheme, Support};
 pub use eclat::mine_eclat;
 pub use f1::{count_singletons, count_singletons_into, frequent_from_counts, frequent_singletons};

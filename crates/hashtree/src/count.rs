@@ -537,7 +537,7 @@ fn scan_leaf<S: WordStore>(
 ) {
     let n = tree.store.load(leaf, 1);
     let k = tree.k;
-    let count_words = u32::from(tree.counters_inline);
+    let count_words = u32::from(tree.counters_inline());
     let cand_words = 1 + k + count_words;
     for e in 0..n {
         // Resolve the candidate words' (block, offset).
@@ -662,7 +662,6 @@ mod tests {
     use crate::freeze::freeze_policy;
     use crate::policy::PlacementPolicy;
     use arm_balance::{BitonicHash, HashFn, ModHash};
-    use arm_mem::FlatCounters;
 
     fn paper_db() -> Database {
         Database::from_transactions(
@@ -703,6 +702,8 @@ mod tests {
         assert_eq!(naive_counts(&cands, &db), vec![2, 2, 2, 1, 1, 3]);
     }
 
+    /// Counts `cands` over `db` through one [`crate::Tally`], the
+    /// database split into `workers` contiguous ranges, one per worker.
     fn tree_counts_opts(
         policy: PlacementPolicy,
         cands: &CandidateSet,
@@ -710,6 +711,7 @@ mod tests {
         hash: &dyn HashFn,
         opts: CountOptions,
         trim: bool,
+        workers: usize,
     ) -> Vec<u32> {
         // dyn HashFn is fine for tests.
         struct Dyn<'a>(&'a dyn HashFn);
@@ -724,53 +726,28 @@ mod tests {
         let hash = Dyn(hash);
         let b = TreeBuilder::new(cands, &hash, 2);
         b.insert_all();
-        let tree = freeze_policy(&b, policy);
+        let tally = crate::Tally::new(freeze_policy(&b, policy), workers);
+        let tree = tally.tree();
         let filter = trim.then(|| ItemFilter::from_candidates(cands, db.n_items()));
         let filter = filter.as_ref();
         let mut scratch = CountScratch::new(db.n_items(), tree.n_nodes());
         let mut meter = WorkMeter::default();
-        if tree.counters_inline() {
-            let mut cref = CounterRef::Inline;
-            tree.count_partition(
-                &hash,
-                db,
-                0..db.len(),
-                filter,
-                &mut scratch,
-                &mut cref,
-                opts,
-                &mut meter,
-            );
-            tree.inline_counts()
-        } else if policy.per_thread_counters() {
-            let mut local = arm_mem::LocalCounters::new(cands.len());
-            let mut cref = CounterRef::Local(&mut local);
-            tree.count_partition(
-                &hash,
-                db,
-                0..db.len(),
-                filter,
-                &mut scratch,
-                &mut cref,
-                opts,
-                &mut meter,
-            );
-            arm_mem::counters::reduce(&[local])
-        } else {
-            let shared = FlatCounters::new(cands.len());
-            let mut cref = CounterRef::Shared(&shared);
-            tree.count_partition(
-                &hash,
-                db,
-                0..db.len(),
-                filter,
-                &mut scratch,
-                &mut cref,
-                opts,
-                &mut meter,
-            );
-            shared.snapshot()
+        for w in 0..workers {
+            let range = w * db.len() / workers..(w + 1) * db.len() / workers;
+            tally.with_counter(w, None, |cref| {
+                tree.count_partition(
+                    &hash,
+                    db,
+                    range,
+                    filter,
+                    &mut scratch,
+                    cref,
+                    opts,
+                    &mut meter,
+                )
+            });
         }
+        tally.counts()
     }
 
     fn tree_counts(
@@ -784,7 +761,7 @@ mod tests {
             short_circuit,
             ..CountOptions::default()
         };
-        tree_counts_opts(policy, cands, db, hash, opts, false)
+        tree_counts_opts(policy, cands, db, hash, opts, false, 1)
     }
 
     #[test]
@@ -798,12 +775,25 @@ mod tests {
             for h in &hashes {
                 for sc in [false, true] {
                     for trim in [false, true] {
-                        let opts = CountOptions {
-                            short_circuit: sc,
-                            visited: VisitedMode::PerNode,
-                        };
-                        let got = tree_counts_opts(policy, &cands, &db, h.as_ref(), opts, trim);
-                        assert_eq!(got, expected, "{policy} sc={sc} trim={trim}");
+                        for workers in [1, 3] {
+                            let opts = CountOptions {
+                                short_circuit: sc,
+                                visited: VisitedMode::PerNode,
+                            };
+                            let got = tree_counts_opts(
+                                policy,
+                                &cands,
+                                &db,
+                                h.as_ref(),
+                                opts,
+                                trim,
+                                workers,
+                            );
+                            assert_eq!(
+                                got, expected,
+                                "{policy} sc={sc} trim={trim} workers={workers}"
+                            );
+                        }
                     }
                 }
             }
@@ -871,6 +861,7 @@ mod tests {
                 &h,
                 CountOptions::default(),
                 trim,
+                1,
             );
             assert_eq!(got, vec![2], "trim={trim}");
         }

@@ -35,10 +35,10 @@ pub struct FrozenTree<S: WordStore> {
     pub(crate) n_nodes: u32,
     pub(crate) n_cands: u32,
     pub(crate) leaf_layout: LeafLayout,
-    pub(crate) counters_inline: bool,
-    /// For inline counters: the block holding candidate `c`'s words
-    /// (its count lives at word `1 + k`). `NULL_HANDLE` when external or
-    /// when the candidate never got inserted.
+    pub(crate) counters: CounterPlacement,
+    /// The block holding candidate `c`'s words (for inline counters its
+    /// count lives at word `1 + k`). `NULL_HANDLE` when the candidate
+    /// never got inserted.
     pub(crate) cand_block: Vec<Handle>,
     /// For fused layout the candidate words live *inside* a leaf block at
     /// this word offset; for linked layout the offset is 0.
@@ -68,7 +68,7 @@ impl<S: WordStore> FrozenTree<S> {
 
     /// True when support counters are stored inside the tree blocks.
     pub fn counters_inline(&self) -> bool {
-        self.counters_inline
+        self.counters == CounterPlacement::Inline
     }
 
     /// Total bytes of the frozen image (Fig. 6 accounting).
@@ -77,9 +77,9 @@ impl<S: WordStore> FrozenTree<S> {
     }
 
     /// Reads candidate `c`'s inline counter. Panics when counters are
-    /// external (the mining driver owns them in that case).
+    /// external (a [`crate::Tally`] owns them in that case).
     pub fn inline_count(&self, cand: u32) -> u32 {
-        assert!(self.counters_inline, "counters are external");
+        assert!(self.counters_inline(), "counters are external");
         let h = self.cand_block[cand as usize];
         if h == NULL_HANDLE {
             return 0;
@@ -148,12 +148,17 @@ impl AnyFrozenTree {
         }
     }
 
+    /// Where the tree's support counters live.
+    pub(crate) fn counter_placement(&self) -> CounterPlacement {
+        match self {
+            AnyFrozenTree::Contiguous(t) => t.counters,
+            AnyFrozenTree::Scatter(t) => t.counters,
+        }
+    }
+
     /// True when counters live inside tree blocks.
     pub fn counters_inline(&self) -> bool {
-        match self {
-            AnyFrozenTree::Contiguous(t) => t.counters_inline(),
-            AnyFrozenTree::Scatter(t) => t.counters_inline(),
-        }
+        self.counter_placement() == CounterPlacement::Inline
     }
 
     /// Total bytes of the frozen image.
@@ -218,8 +223,7 @@ pub fn freeze_with<F: HashFn, B: WordStoreBuilder>(
     let k = tree.cands.k();
     let fanout = tree.hash.fanout();
     let n_cands = tree.cands.len() as u32;
-    let inline = counters == CounterPlacement::Inline;
-    let count_words = u32::from(inline);
+    let count_words = u32::from(counters == CounterPlacement::Inline);
     let cand_words = 1 + k + count_words; // cand_id + items + count?
 
     // Emission sequence of builder node indices.
@@ -336,7 +340,7 @@ pub fn freeze_with<F: HashFn, B: WordStoreBuilder>(
         n_nodes,
         n_cands,
         leaf_layout: layout,
-        counters_inline: inline,
+        counters,
         cand_block,
         cand_offset,
     }
@@ -443,7 +447,7 @@ mod tests {
             ContiguousBuilder::new(),
             EmitOrder::DepthFirst,
             LeafLayout::Linked,
-            CounterPlacement::External,
+            CounterPlacement::Shared,
         );
         assert!(inline.total_bytes() > external.total_bytes());
         assert!(!external.counters_inline());
@@ -460,7 +464,7 @@ mod tests {
             ContiguousBuilder::new(),
             EmitOrder::Creation,
             LeafLayout::Linked,
-            CounterPlacement::External,
+            CounterPlacement::Shared,
         );
         t.inline_count(0);
     }

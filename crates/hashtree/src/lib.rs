@@ -9,7 +9,9 @@
 //! * [`freeze`] — emitting the built tree into its policy-defined memory
 //!   image (the GPP case is the paper's depth-first remap);
 //! * [`count`] — the support-counting kernel with VISITED short-circuiting
-//!   (§4.2), counter-placement dispatch, and work accounting.
+//!   (§4.2), counter-placement dispatch, and work accounting;
+//! * [`tally`] — the counting phase's counters, laid out once per tree as
+//!   its policy's counter placement says.
 //!
 //! A typical iteration:
 //!
@@ -17,11 +19,12 @@
 //! use arm_balance::BitonicHash;
 //! use arm_dataset::Database;
 //! use arm_hashtree::{
-//!     count::{CountOptions, CountScratch, CounterRef, WorkMeter},
+//!     count::{CountOptions, CountScratch, WorkMeter},
 //!     freeze::freeze_policy,
 //!     build::TreeBuilder,
 //!     candidates::CandidateSet,
 //!     policy::PlacementPolicy,
+//!     tally::Tally,
 //! };
 //!
 //! let db = Database::from_transactions(
@@ -36,21 +39,24 @@
 //! let hash = BitonicHash::new(3);
 //! let builder = TreeBuilder::new(&c2, &hash, 3);
 //! builder.insert_all();
-//! let tree = freeze_policy(&builder, PlacementPolicy::Gpp);
+//! let tally = Tally::new(freeze_policy(&builder, PlacementPolicy::Gpp), 1);
+//! let tree = tally.tree();
 //!
 //! let mut scratch = CountScratch::new(db.n_items(), tree.n_nodes());
 //! let mut meter = WorkMeter::default();
-//! tree.count_partition(
-//!     &hash,
-//!     &db,
-//!     0..db.len(),
-//!     None, // no transaction trimming
-//!     &mut scratch,
-//!     &mut CounterRef::Inline,
-//!     CountOptions::default(),
-//!     &mut meter,
-//! );
-//! assert_eq!(tree.inline_counts(), vec![2, 2, 2, 1, 1, 3]);
+//! tally.with_counter(0, None, |counter| {
+//!     tree.count_partition(
+//!         &hash,
+//!         &db,
+//!         0..db.len(),
+//!         None, // no transaction trimming
+//!         &mut scratch,
+//!         counter,
+//!         CountOptions::default(),
+//!         &mut meter,
+//!     )
+//! });
+//! assert_eq!(tally.counts(), vec![2, 2, 2, 1, 1, 3]);
 //! ```
 
 pub mod build;
@@ -58,6 +64,7 @@ pub mod candidates;
 pub mod count;
 pub mod freeze;
 pub mod policy;
+pub mod tally;
 
 pub use build::TreeBuilder;
 pub use candidates::CandidateSet;
@@ -67,3 +74,4 @@ pub use count::{
 };
 pub use freeze::{freeze_policy, freeze_with, AnyFrozenTree, FrozenTree};
 pub use policy::{CounterPlacement, EmitOrder, LeafLayout, PlacementPolicy, StoreKind};
+pub use tally::Tally;

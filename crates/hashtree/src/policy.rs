@@ -8,17 +8,17 @@
 //! | SPP     | contiguous region      | creation       | linked      | inline     |
 //! | LPP     | contiguous region      | creation       | fused       | inline     |
 //! | GPP     | contiguous region      | depth-first    | linked      | inline     |
-//! | L-SPP   | contiguous region      | creation       | linked      | external   |
-//! | L-LPP   | contiguous region      | creation       | fused       | external   |
-//! | L-GPP   | contiguous region      | depth-first    | linked      | external   |
+//! | L-SPP   | contiguous region      | creation       | linked      | shared     |
+//! | L-LPP   | contiguous region      | creation       | fused       | shared     |
+//! | L-GPP   | contiguous region      | depth-first    | linked      | shared     |
 //! | LCA-GPP | contiguous region      | depth-first    | linked      | per-thread |
 //!
 //! *Linked* leaves reference their itemsets through handles (the paper's
 //! list node → itemset pointers); *fused* leaves store the items inline
 //! (the paper's LPP "reservation" that keeps a list node and its itemset
 //! adjacent). *Inline* counters share blocks with read-only itemset data
-//! (the false-sharing worst case); *external* counters live in a separate
-//! shared array (the paper's segregated read-write region); *per-thread*
+//! (the false-sharing worst case); *shared* counters live in a separate
+//! array all workers increment (the paper's segregated read-write region); *per-thread*
 //! counters are private arrays merged by reduction (privatization).
 //!
 //! Note on SPP fidelity: the original SPP placed blocks in true malloc-call
@@ -54,14 +54,18 @@ pub enum LeafLayout {
     Fused,
 }
 
-/// Where support counters live.
+/// Where support counters live. The counting phase lays its counters
+/// out accordingly ([`crate::Tally`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CounterPlacement {
-    /// A counter word inside each candidate's itemset block.
+    /// A counter word inside each candidate's itemset block (base, SPP,
+    /// LPP, GPP).
     Inline,
-    /// Counters outside the tree (shared array or per-thread arrays,
-    /// chosen by the mining driver).
-    External,
+    /// One segregated array outside the tree, shared by every worker
+    /// (`L-*`).
+    Shared,
+    /// One private array per worker, summed after counting (`LCA-GPP`).
+    PerThread,
 }
 
 /// A named placement policy from the paper.
@@ -153,13 +157,11 @@ impl PlacementPolicy {
             | PlacementPolicy::Spp
             | PlacementPolicy::Lpp
             | PlacementPolicy::Gpp => CounterPlacement::Inline,
-            _ => CounterPlacement::External,
+            PlacementPolicy::LSpp | PlacementPolicy::LLpp | PlacementPolicy::LGpp => {
+                CounterPlacement::Shared
+            }
+            PlacementPolicy::LcaGpp => CounterPlacement::PerThread,
         }
-    }
-
-    /// True when the policy expects per-thread (privatized) counters.
-    pub fn per_thread_counters(self) -> bool {
-        matches!(self, PlacementPolicy::LcaGpp)
     }
 }
 
@@ -195,10 +197,13 @@ mod tests {
         assert_eq!(Spp.emit_order(), EmitOrder::Creation);
         assert_eq!(Lpp.leaf_layout(), LeafLayout::Fused);
         assert_eq!(Gpp.leaf_layout(), LeafLayout::Linked);
-        assert_eq!(Spp.counter_placement(), CounterPlacement::Inline);
-        assert_eq!(LSpp.counter_placement(), CounterPlacement::External);
-        assert!(LcaGpp.per_thread_counters());
-        assert!(!LGpp.per_thread_counters());
+        for p in [Ccpd, Spp, Lpp, Gpp] {
+            assert_eq!(p.counter_placement(), CounterPlacement::Inline, "{p}");
+        }
+        for p in [LSpp, LLpp, LGpp] {
+            assert_eq!(p.counter_placement(), CounterPlacement::Shared, "{p}");
+        }
+        assert_eq!(LcaGpp.counter_placement(), CounterPlacement::PerThread);
     }
 
     #[test]

@@ -11,7 +11,8 @@
 //! * freeze: the placement policy's memory image is laid out (GPP's remap);
 //! * support counting: each thread scans its partition against the shared
 //!   tree, with counters inline / segregated / privatized per policy;
-//! * extraction: the master thread selects `F_k`.
+//! * extraction: the master thread selects `F_k` (in the level loop CCPD
+//!   shares with PCCD).
 //!
 //! The data-parallel phases (F1, tree build, counting) draw their work from
 //! an [`arm_exec::ChunkPool`] seeded with the phase's static split: under
@@ -23,22 +24,21 @@
 //! in [`crate::stats`].
 
 use crate::config::{DbPartition, ParallelConfig};
+use crate::levels::{run_levels, Counted};
 use crate::scratch::ScratchPool;
 use crate::stats::ParallelRunStats;
 use arm_core::f1::{count_pair_buckets_into, pair_bucket};
 use arm_core::{
-    adaptive_fanout, class_weight, count_singletons_into, equivalence_classes, f1_items,
-    frequent_from_counts, generate_class, make_hash, FrequentLevel, IterStats, MiningResult,
+    class_weight, count_singletons_into, equivalence_classes, f1_items, frequent_from_counts,
+    generate_class, level_hash, FrequentLevel, MiningResult,
 };
 use arm_dataset::{block_ranges, weighted_ranges, weighted_ranges_for_k, Database};
 use arm_exec::ChunkPool;
 use arm_faults::{try_run_threads, CancelToken, MiningError, RunControl};
 use arm_hashtree::{
-    freeze_policy, CandidateSet, CountOptions, CounterRef, ItemFilter, TreeBuilder, WorkMeter,
+    freeze_policy, CandidateSet, CountOptions, ItemFilter, Tally, TreeBuilder, WorkMeter,
 };
-use arm_mem::counters::reduce;
-use arm_mem::{FlatCounters, LocalCounters};
-use arm_metrics::{Counter, MetricsRegistry, TalliedCounters};
+use arm_metrics::{Counter, MetricsRegistry};
 use std::ops::Range;
 use std::time::Instant;
 
@@ -69,7 +69,6 @@ pub fn try_mine(
     let p = cfg.n_threads.max(1);
     let min_support = cfg.base.min_support.absolute(db.len());
     let metrics = MetricsRegistry::new(p);
-    let mut run_meters = vec![WorkMeter::default(); p];
 
     // ---- F1: parallel histograms ----------------------------------------
     let span = metrics.phase("f1", 1);
@@ -121,35 +120,7 @@ pub fn try_mine(
     // One counting scratch per worker lives across all iterations
     // (re-targeted per tree) instead of being reallocated.
     let scratch_pool = ScratchPool::new(p, db.n_items());
-    let mut iter_stats = vec![IterStats {
-        k: 1,
-        n_candidates: db.n_items() as usize,
-        n_frequent: f1.len(),
-        fanout: 0,
-        tree_bytes: 0,
-        tree_nodes: 0,
-        join_pairs: 0,
-        meter: WorkMeter::default(),
-    }];
-    // Uniform `max_k` semantics: a cap of 0 admits no level at all (the
-    // k-loop below then breaks immediately on `k > m`).
-    let mut levels = if cfg.base.max_k == Some(0) {
-        Vec::new()
-    } else {
-        vec![f1]
-    };
-
-    // ---- Iterations k >= 2 ----------------------------------------------
-    let mut k = 2u32;
-    loop {
-        if cfg.base.max_k.is_some_and(|m| k > m) {
-            break;
-        }
-        let Some(prev) = levels.last() else { break };
-        if prev.len() < 2 {
-            break;
-        }
-
+    run_levels(cfg, ctrl, &metrics, run_start, db, f1, |prev, k| {
         // Candidate generation.
         let span = metrics.phase("candgen", k);
         let classes = equivalence_classes(prev);
@@ -169,28 +140,20 @@ pub fn try_mine(
             work[0] = pairs;
             (out, work, pairs)
         };
-        let cands = if k == 2 {
-            if let (Some(m), Some(table)) = (pair_buckets, pair_table.as_ref()) {
+        let cands = match (k, pair_buckets, pair_table.as_ref()) {
+            (2, Some(m), Some(table)) => {
                 cands.filtered(|_, it| table[pair_bucket(it[0], it[1], m)] >= min_support)
-            } else {
-                cands
             }
-        } else {
-            cands
+            _ => cands,
         };
         span.finish(candgen_work);
         ctrl.gate("candgen", run_start)?;
         if cands.is_empty() {
-            break;
+            return Ok(None);
         }
         debug_assert!(cands.is_sorted_unique());
 
-        let fanout = if cfg.base.adaptive_fanout {
-            adaptive_fanout(&classes, cfg.base.leaf_threshold, k)
-        } else {
-            cfg.base.fixed_fanout
-        };
-        let hash = make_hash(cfg.base.hash_scheme, fanout, &f1_item_list, db.n_items());
+        let (fanout, hash) = level_hash(&cfg.base, &classes, k, &f1_item_list, db.n_items());
 
         // Parallel tree build (shared tree, per-leaf locks). The per-leaf
         // lock telemetry of §3.1.4 is attributed to each inserter's shard.
@@ -239,130 +202,54 @@ pub fn try_mine(
         };
         // Shared read-only trim filter for this iteration's candidates.
         let filter = ItemFilter::from_candidates(&cands, db.n_items());
-        let inline = tree.counters_inline();
-        let per_thread = cfg.base.placement.per_thread_counters();
-        let shared = (!inline && !per_thread).then(|| FlatCounters::new(cands.len()));
+        let tally = Tally::new(tree, p);
+        let tree = tally.tree();
 
         // Stealing re-chunks the very same partition the static split
         // would use, so a weighted DbPartition still seeds the deques with
         // its cost estimate and stealing only corrects the residual error.
         let pool =
             ChunkPool::new(&db_ranges, cfg.scheduling).with_cancel_token(ctrl.cancel.clone());
-        let outcomes: Vec<(WorkMeter, Option<LocalCounters>)> =
-            try_run_threads(p, "count", &ctrl.cancel, |t| {
-                let shard = metrics.shard(t);
-                let mut scratch = scratch_pool.slot(t);
-                scratch.retarget(tree.n_nodes());
-                shard.incr(Counter::ScratchRetargets);
-                let mut meter = WorkMeter::default();
-                let mut local = per_thread.then(|| LocalCounters::new(cands.len()));
-                // Shared counters go through the tallying wrapper so striped
-                // increments and their CAS retries land in this thread's shard.
-                let tallied = shared.as_ref().map(|s| TalliedCounters::new(s, shard));
-                {
-                    let mut cref = if inline {
-                        CounterRef::Inline
-                    } else if let Some(l) = local.as_mut() {
-                        CounterRef::Local(l)
-                    } else {
-                        // `shared` is built exactly when neither inline nor
-                        // per-thread counters are selected.
-                        CounterRef::Shared(tallied.as_ref().expect("shared counters exist"))
-                    };
-                    let mut chunk = 0u64;
-                    while let Some(r) = pool.next(t) {
-                        ctrl.faults.fire("count", t, chunk);
-                        chunk += 1;
-                        tree.count_partition(
-                            &hash,
-                            db,
-                            r,
-                            Some(&filter),
-                            &mut scratch,
-                            &mut cref,
-                            opts,
-                            &mut meter,
-                        );
-                    }
+        let meters: Vec<WorkMeter> = try_run_threads(p, "count", &ctrl.cancel, |t| {
+            let shard = metrics.shard(t);
+            let mut scratch = scratch_pool.slot(t);
+            scratch.retarget(tree.n_nodes());
+            shard.incr(Counter::ScratchRetargets);
+            let mut meter = WorkMeter::default();
+            tally.with_counter(t, Some(shard), |counter| {
+                let mut chunk = 0u64;
+                while let Some(r) = pool.next(t) {
+                    ctrl.faults.fire("count", t, chunk);
+                    chunk += 1;
+                    tree.count_partition(
+                        &hash,
+                        db,
+                        r,
+                        Some(&filter),
+                        &mut scratch,
+                        counter,
+                        opts,
+                        &mut meter,
+                    );
                 }
-                shard.add(Counter::ScratchStampBytes, scratch.stamp_bytes() as u64);
-                (meter, local)
-            })?;
+            });
+            shard.add(Counter::ScratchStampBytes, scratch.stamp_bytes() as u64);
+            meter
+        })?;
         record_exec(&metrics, &pool);
         ctrl.gate("count", run_start)?;
-        let meters: Vec<WorkMeter> = outcomes.iter().map(|(m, _)| *m).collect();
-        let count_work: Vec<u64> = meters.iter().map(|m| m.work_units()).collect();
-        for (rm, m) in run_meters.iter_mut().zip(&meters) {
-            rm.merge(m);
-        }
-        span.finish(count_work);
+        span.finish(meters.iter().map(|m| m.work_units()).collect());
 
-        // Reduction + extraction (master).
-        let span = metrics.phase("extract", k);
-        let final_counts: Vec<u32> = if inline {
-            tree.inline_counts()
-        } else if per_thread {
-            // Every worker built a local table under `per_thread`.
-            let locals: Vec<LocalCounters> = outcomes.into_iter().filter_map(|(_, l)| l).collect();
-            reduce(&locals)
-        } else {
-            shared.expect("shared counters exist").snapshot()
-        };
-        let mut fk_sets = CandidateSet::new(k);
-        let mut fk_supports = Vec::new();
-        for (id, items) in cands.iter() {
-            if final_counts[id as usize] >= min_support {
-                fk_sets.push(items);
-                fk_supports.push(final_counts[id as usize]);
-            }
-        }
-        let fk = FrequentLevel::new(fk_sets, fk_supports);
-        span.finish_serial();
-
-        let mut total_meter = WorkMeter::default();
-        for m in &meters {
-            total_meter.merge(m);
-        }
-        iter_stats.push(IterStats {
-            k,
-            n_candidates: cands.len(),
-            n_frequent: fk.len(),
+        Ok(Some(Counted {
             fanout,
+            join_pairs,
             tree_bytes: tree.total_bytes(),
             tree_nodes: tree.n_nodes(),
-            join_pairs,
-            meter: total_meter,
-        });
-
-        let done = fk.is_empty();
-        if !done {
-            levels.push(fk);
-        }
-        k += 1;
-        if done {
-            break;
-        }
-    }
-
-    // Successful runs fold the fault-layer tallies into the report; runs
-    // that returned Err above discard their registry with everything else.
-    metrics
-        .shard(0)
-        .add(Counter::FaultsInjected, ctrl.faults.injected());
-
-    let result = MiningResult {
-        levels,
-        iter_stats,
-        min_support,
-    };
-    let stats = ParallelRunStats {
-        n_threads: p,
-        phases: metrics.take_phases(),
-        wall: run_start.elapsed(),
-        count_meters: run_meters,
-        metrics: metrics.snapshot(),
-    };
-    Ok((result, stats))
+            meters,
+            cands,
+            counts: Box::new(move || tally.counts()),
+        }))
+    })
 }
 
 /// Candidate generation balanced across `p` threads at *member*

@@ -5,6 +5,9 @@
 //!   paper evaluates throughout (§3.3, Figs. 8–13);
 //! * [`pccd`] — Partitioned Candidate, Common Database: the baseline whose
 //!   duplicated scans make it a speed-down (kept for the comparison);
+//!   both drivers hand their per-level work to one private level loop
+//!   that owns the `max_k` and stop rules, `F_k` selection and the run's
+//!   statistics;
 //! * [`config`] — thread count, candidate-generation balancing scheme,
 //!   database partition heuristic;
 //! * [`scratch`] — the per-worker counting-scratch pool both drivers keep
@@ -36,6 +39,7 @@
 
 pub mod ccpd;
 pub mod config;
+mod levels;
 pub mod pccd;
 pub mod report;
 pub mod scratch;

@@ -7,20 +7,20 @@
 //! as the baseline it is (Fig. 11 commentary, DESIGN.md experiment index).
 
 use crate::config::ParallelConfig;
+use crate::levels::{run_levels, Counted};
 use crate::scratch::ScratchPool;
 use crate::stats::ParallelRunStats;
 use arm_faults::{try_run_threads, MiningError, RunControl};
 use arm_metrics::{Counter, MetricsRegistry};
 
 use arm_core::{
-    adaptive_fanout, count_singletons, equivalence_classes, f1_items, frequent_from_counts,
-    generate_class, make_hash, FrequentLevel, IterStats, MiningResult,
+    count_singletons, equivalence_classes, f1_items, frequent_from_counts, generate_class,
+    level_hash, MiningResult,
 };
 use arm_dataset::Database;
 use arm_hashtree::{
-    freeze_policy, CandidateSet, CountOptions, CounterRef, ItemFilter, TreeBuilder, WorkMeter,
+    freeze_policy, CandidateSet, CountOptions, ItemFilter, Tally, TreeBuilder, WorkMeter,
 };
-use arm_mem::LocalCounters;
 use std::time::Instant;
 
 /// Runs PCCD, returning the mining result (identical to sequential) and
@@ -47,7 +47,6 @@ pub fn try_mine(
     let p = cfg.n_threads.max(1);
     let min_support = cfg.base.min_support.absolute(db.len());
     let metrics = MetricsRegistry::new(p);
-    let mut run_meters = vec![WorkMeter::default(); p];
 
     // F1 is identical to CCPD (histograms are cheap; keep it serial here
     // to emphasize that PCCD's pathology is in the counting phase).
@@ -60,34 +59,7 @@ pub fn try_mine(
     let f1_item_list = f1_items(&f1);
     // Same pooling as CCPD: one scratch per worker across all iterations.
     let scratch_pool = ScratchPool::new(p, db.n_items());
-    let mut iter_stats = vec![IterStats {
-        k: 1,
-        n_candidates: db.n_items() as usize,
-        n_frequent: f1.len(),
-        fanout: 0,
-        tree_bytes: 0,
-        tree_nodes: 0,
-        join_pairs: 0,
-        meter: WorkMeter::default(),
-    }];
-    // Uniform `max_k` semantics: a cap of 0 admits no level at all (the
-    // k-loop below then breaks immediately on `k > m`).
-    let mut levels = if cfg.base.max_k == Some(0) {
-        Vec::new()
-    } else {
-        vec![f1]
-    };
-
-    let mut k = 2u32;
-    loop {
-        if cfg.base.max_k.is_some_and(|m| k > m) {
-            break;
-        }
-        let Some(prev) = levels.last() else { break };
-        if prev.len() < 2 {
-            break;
-        }
-
+    run_levels(cfg, ctrl, &metrics, run_start, db, f1, |prev, k| {
         // Sequential candidate generation (master), as in the paper's
         // PCCD variant; the candidates are then *partitioned*.
         let span = metrics.phase("candgen", k);
@@ -101,215 +73,106 @@ pub fn try_mine(
         span.finish_serial();
         ctrl.gate("candgen", run_start)?;
         if cands.is_empty() {
-            break;
+            return Ok(None);
         }
 
-        let fanout = if cfg.base.adaptive_fanout {
-            adaptive_fanout(&classes, cfg.base.leaf_threshold, k)
-        } else {
-            cfg.base.fixed_fanout
-        };
-        let hash = make_hash(cfg.base.hash_scheme, fanout, &f1_item_list, db.n_items());
+        let (fanout, hash) = level_hash(&cfg.base, &classes, k, &f1_item_list, db.n_items());
 
         // Partition candidates across threads (greedy over uniform
         // weights ≈ equal tree sizes, §3.2.1).
         let weights = vec![1u64; cands.len()];
         let assignment = cfg.candgen_scheme.assign(&weights, p);
 
-        // Each thread: local tree over its candidates, full database scan.
+        // The paper's formulation: bin `t`'s owner builds its local tree
+        // over its candidates and scans the entire database alone.
         let span = metrics.phase("count", k);
         let opts = CountOptions {
             short_circuit: cfg.base.short_circuit,
             visited: cfg.base.visited,
         };
-        let (bin_counts, meters, tree_bytes, tree_nodes) = count_bins(
-            db,
-            cfg,
-            &cands,
-            &hash,
-            &assignment.bins,
-            &scratch_pool,
-            opts,
-            &metrics,
-            p,
-            ctrl,
-        )?;
-        let count_work: Vec<u64> = meters.iter().map(|m| m.work_units()).collect();
-        for (rm, m) in run_meters.iter_mut().zip(&meters) {
-            rm.merge(m);
-        }
-        span.finish(count_work);
-        ctrl.gate("count", run_start)?;
-
-        // Reduction: scatter local counts back to global candidate ids.
-        let span = metrics.phase("extract", k);
-        let mut final_counts = vec![0u32; cands.len()];
-        let mut total_meter = WorkMeter::default();
-        for (ids, local_counts) in &bin_counts {
-            for (slot, &id) in ids.iter().enumerate() {
-                final_counts[id as usize] = local_counts[slot];
+        let bins: Vec<Bin> = try_run_threads(p, "count", &ctrl.cancel, |t| {
+            let shard = metrics.shard(t);
+            let ids = &assignment.bins[t]; // sorted → lexicographic subset
+            let mut local_set = CandidateSet::new(k);
+            for &id in ids {
+                local_set.push(cands.get(id as u32));
             }
-        }
-        for m in &meters {
-            total_meter.merge(m);
-        }
-        let mut fk_sets = CandidateSet::new(k);
-        let mut fk_supports = Vec::new();
-        for (id, items) in cands.iter() {
-            if final_counts[id as usize] >= min_support {
-                fk_sets.push(items);
-                fk_supports.push(final_counts[id as usize]);
+            let mut bin = Bin::default();
+            // Each thread's count is one indivisible full-database scan,
+            // so this single checkpoint is its whole cancellation surface
+            // — the latency bound counts it as one claim. The phase gate
+            // below discards the empty partial on cancellation.
+            ctrl.faults.fire("count", t, 0);
+            if local_set.is_empty() || !ctrl.cancel.checkpoint() {
+                return bin;
             }
-        }
-        let fk = FrequentLevel::new(fk_sets, fk_supports);
-        span.finish_serial();
-
-        iter_stats.push(IterStats {
-            k,
-            n_candidates: cands.len(),
-            n_frequent: fk.len(),
-            fanout,
-            tree_bytes,
-            tree_nodes,
-            join_pairs,
-            meter: total_meter,
-        });
-
-        let done = fk.is_empty();
-        if !done {
-            levels.push(fk);
-        }
-        k += 1;
-        if done {
-            break;
-        }
-    }
-
-    metrics
-        .shard(0)
-        .add(Counter::FaultsInjected, ctrl.faults.injected());
-
-    let result = MiningResult {
-        levels,
-        iter_stats,
-        min_support,
-    };
-    let stats = ParallelRunStats {
-        n_threads: p,
-        phases: metrics.take_phases(),
-        wall: run_start.elapsed(),
-        count_meters: run_meters,
-        metrics: metrics.snapshot(),
-    };
-    Ok((result, stats))
-}
-
-/// Per-bin scatter-back data: the bin's global candidate ids and their
-/// final counts, slot-aligned.
-type BinCounts = Vec<(Vec<u32>, Vec<u32>)>;
-
-/// The paper's formulation: bin `t`'s owner builds its local tree and
-/// scans the entire database alone, accumulating into private
-/// `LocalCounters`.
-///
-/// Returns per-bin (ids, counts), per-thread meters, and total tree
-/// bytes/nodes across bins.
-#[allow(clippy::too_many_arguments)]
-fn count_bins(
-    db: &Database,
-    cfg: &ParallelConfig,
-    cands: &CandidateSet,
-    hash: &arm_balance::AnyHash,
-    bins: &[Vec<usize>],
-    scratch_pool: &ScratchPool,
-    opts: CountOptions,
-    metrics: &MetricsRegistry,
-    p: usize,
-    ctrl: &RunControl,
-) -> Result<(BinCounts, Vec<WorkMeter>, usize, u32), MiningError> {
-    let k = cands.k();
-    // (global candidate ids, their counts, meter, tree bytes, tree nodes)
-    type ThreadOutcome = (Vec<u32>, Vec<u32>, WorkMeter, usize, u32);
-    let outcomes: Vec<ThreadOutcome> = try_run_threads(p, "count", &ctrl.cancel, |t| {
-        let shard = metrics.shard(t);
-        let ids = &bins[t]; // sorted → lexicographic subset
-        let mut local_set = CandidateSet::new(k);
-        for &id in ids {
-            local_set.push(cands.get(id as u32));
-        }
-        let mut meter = WorkMeter::default();
-        // Each thread's count is one indivisible full-database scan, so this single checkpoint is its whole cancellation
-        // surface — the latency bound counts it as one claim. The caller's
-        // phase gate discards the empty partial on cancellation.
-        ctrl.faults.fire("count", t, 0);
-        if local_set.is_empty() || !ctrl.cancel.checkpoint() {
-            return (Vec::new(), Vec::new(), meter, 0, 0);
-        }
-        // Local trees are private, so lock telemetry here records the
-        // uncontended baseline PCCD trades CCPD's shared tree for.
-        let builder = TreeBuilder::new(&local_set, hash, cfg.base.leaf_threshold);
-        builder.insert_all_tallied(shard);
-        let tree = freeze_policy(&builder, cfg.base.placement);
-        shard.add(Counter::TreeBytes, tree.total_bytes() as u64);
-        shard.add(Counter::TreeNodes, tree.n_nodes() as u64);
-        // Each worker trims against its *own* candidate subset — a
-        // tighter (still lossless) filter than the global one.
-        let filter = ItemFilter::from_candidates(&local_set, db.n_items());
-        let filter = Some(&filter);
-        shard.incr(Counter::ScratchRetargets);
-        let mut scratch = scratch_pool.slot(t);
-        scratch.retarget(tree.n_nodes());
-        let local_counts: Vec<u32> = if tree.counters_inline() {
-            let mut cref = CounterRef::Inline;
-            tree.count_partition(
-                hash,
-                db,
-                0..db.len(),
-                filter,
-                &mut scratch,
-                &mut cref,
-                opts,
-                &mut meter,
-            );
-            tree.inline_counts()
-        } else {
-            let mut local = LocalCounters::new(local_set.len());
-            {
-                let mut cref = CounterRef::Local(&mut local);
+            // Local trees are private, so lock telemetry here records the
+            // uncontended baseline PCCD trades CCPD's shared tree for.
+            let builder = TreeBuilder::new(&local_set, &hash, cfg.base.leaf_threshold);
+            builder.insert_all_tallied(shard);
+            let tally = Tally::new(freeze_policy(&builder, cfg.base.placement), 1);
+            let tree = tally.tree();
+            shard.add(Counter::TreeBytes, tree.total_bytes() as u64);
+            shard.add(Counter::TreeNodes, tree.n_nodes() as u64);
+            // Each worker trims against its *own* candidate subset — a
+            // tighter (still lossless) filter than the global one.
+            let filter = ItemFilter::from_candidates(&local_set, db.n_items());
+            shard.incr(Counter::ScratchRetargets);
+            let mut scratch = scratch_pool.slot(t);
+            scratch.retarget(tree.n_nodes());
+            tally.with_counter(0, Some(shard), |counter| {
                 tree.count_partition(
-                    hash,
+                    &hash,
                     db,
                     0..db.len(),
-                    filter,
+                    Some(&filter),
                     &mut scratch,
-                    &mut cref,
+                    counter,
                     opts,
-                    &mut meter,
-                );
-            }
-            local.slots().to_vec()
-        };
-        shard.add(Counter::ScratchStampBytes, scratch.stamp_bytes() as u64);
-        let ids_u32: Vec<u32> = ids.iter().map(|&i| i as u32).collect();
-        (
-            ids_u32,
-            local_counts,
-            meter,
-            tree.total_bytes(),
-            tree.n_nodes(),
-        )
-    })?;
-    let mut bin_counts = Vec::with_capacity(p);
-    let mut meters = Vec::with_capacity(p);
-    let mut tree_bytes = 0usize;
-    let mut tree_nodes = 0u32;
-    for (ids, counts, meter, tb, tn) in outcomes {
-        bin_counts.push((ids, counts));
-        meters.push(meter);
-        tree_bytes += tb;
-        tree_nodes += tn;
-    }
-    Ok((bin_counts, meters, tree_bytes, tree_nodes))
+                    &mut bin.meter,
+                )
+            });
+            shard.add(Counter::ScratchStampBytes, scratch.stamp_bytes() as u64);
+            bin.tree_bytes = tree.total_bytes();
+            bin.tree_nodes = tree.n_nodes();
+            bin.ids = ids.iter().map(|&i| i as u32).collect();
+            bin.counts = tally.counts();
+            bin
+        })?;
+        span.finish(bins.iter().map(|b| b.meter.work_units()).collect());
+        ctrl.gate("count", run_start)?;
+
+        let n_cands = cands.len();
+        Ok(Some(Counted {
+            cands,
+            fanout,
+            join_pairs,
+            tree_bytes: bins.iter().map(|b| b.tree_bytes).sum(),
+            tree_nodes: bins.iter().map(|b| b.tree_nodes).sum(),
+            meters: bins.iter().map(|b| b.meter).collect(),
+            // Scatter each bin's counts back to global candidate ids.
+            counts: Box::new(move || {
+                let mut counts = vec![0u32; n_cands];
+                for bin in &bins {
+                    for (&id, &c) in bin.ids.iter().zip(&bin.counts) {
+                        counts[id as usize] = c;
+                    }
+                }
+                counts
+            }),
+        }))
+    })
+}
+
+/// One thread's bin after counting: its global candidate ids with their
+/// counts (slot-aligned), its meter and its local tree's size.
+#[derive(Default)]
+struct Bin {
+    ids: Vec<u32>,
+    counts: Vec<u32>,
+    meter: WorkMeter,
+    tree_bytes: usize,
+    tree_nodes: u32,
 }
 
 #[cfg(test)]
@@ -371,6 +234,26 @@ mod tests {
             pccd_txns > 2 * ccpd_txns,
             "PCCD txns {pccd_txns} vs CCPD {ccpd_txns}"
         );
+    }
+
+    #[test]
+    fn shared_placement_tallies_every_hit() {
+        // Under `L-*` policies each bin counts into its own segregated
+        // array, and every increment is tallied as in CCPD.
+        use arm_hashtree::PlacementPolicy;
+        let db = paper_db();
+        let expected = mine_seq(&db, &base_cfg()).all_itemsets();
+        let cfg = ParallelConfig::new(base_cfg().with_placement(PlacementPolicy::LGpp), 3);
+        let (r, stats) = mine(&db, &cfg);
+        assert_eq!(r.all_itemsets(), expected);
+        let hits: u64 = stats.count_meters.iter().map(|m| m.hits).sum();
+        assert!(hits > 0);
+        let increments = stats.metrics.total(Counter::CtrIncrements);
+        if MetricsRegistry::enabled() {
+            assert_eq!(increments, hits);
+        } else {
+            assert_eq!(increments, 0);
+        }
     }
 
     #[test]

@@ -54,72 +54,29 @@ impl ParallelRunStats {
     }
 
     /// Work-model speedup over an ideal 1-thread execution of the same
-    /// work (see module docs). Phases are weighted by their measured wall
-    /// time; a parallel phase's ideal cost is `wall * max(work)/sum(work)`.
+    /// work (see module docs): [`ParallelRunStats::serialized_time`] over
+    /// [`ParallelRunStats::simulated_time`], or 1.0 for a run that
+    /// recorded no time.
     ///
     /// The model treats each phase's wall time as proportional to the
     /// total work it performed, which holds exactly when the host
     /// serializes threads (1 core) and approximately otherwise.
     pub fn simulated_speedup(&self) -> f64 {
-        let mut seq = 0.0f64;
-        let mut par = 0.0f64;
-        for ph in &self.phases {
-            let w = ph.wall.as_secs_f64();
-            match &ph.thread_work {
-                None => {
-                    seq += w;
-                    par += w;
-                }
-                Some(tw) => {
-                    let sum: u64 = tw.iter().sum();
-                    let max = tw.iter().copied().max().unwrap_or(0);
-                    seq += w;
-                    // A phase that recorded no work units still took `w`
-                    // seconds of overhead; treat it as unshrinkable.
-                    // Parenthesized so `max == sum` contributes exactly
-                    // `w`: `(w * max) / sum` can round one ulp above `w`,
-                    // which would push the speedup below 1.0.
-                    par += if sum > 0 {
-                        w * (max as f64 / sum as f64)
-                    } else {
-                        w
-                    };
-                }
-            }
-        }
+        let par = self.simulated_time();
         if par == 0.0 {
             1.0
         } else {
-            seq / par
+            self.serialized_time() / par
         }
     }
 
     /// Estimated run time on `n_threads` dedicated cores, in seconds:
     /// serial phases at their measured wall, parallel phases shrunk to
     /// their critical path (`wall * max(work)/sum(work)`). Comparable
-    /// across configurations measured on the same host; the numerator of
-    /// [`ParallelRunStats::simulated_speedup`].
+    /// across configurations measured on the same host; the denominator
+    /// of [`ParallelRunStats::simulated_speedup`].
     pub fn simulated_time(&self) -> f64 {
-        let mut par = 0.0f64;
-        for ph in &self.phases {
-            let w = ph.wall.as_secs_f64();
-            match &ph.thread_work {
-                None => par += w,
-                Some(tw) => {
-                    let sum: u64 = tw.iter().sum();
-                    let max = tw.iter().copied().max().unwrap_or(0);
-                    // Parenthesized so `max == sum` contributes exactly
-                    // `w`: `(w * max) / sum` can round one ulp above `w`,
-                    // which would push the speedup below 1.0.
-                    par += if sum > 0 {
-                        w * (max as f64 / sum as f64)
-                    } else {
-                        w
-                    };
-                }
-            }
-        }
-        par
+        critical_path(self.phases.iter())
     }
 
     /// Total serialized work time in seconds (the 1-core equivalent):
@@ -134,26 +91,7 @@ impl ParallelRunStats {
     /// reproduces that accounting (it excludes freeze/extract/reduce
     /// bookkeeping whose jitter would otherwise drown small effects).
     pub fn simulated_time_of(&self, names: &[&str]) -> f64 {
-        let mut par = 0.0f64;
-        for ph in self.phases.iter().filter(|p| names.contains(&p.name)) {
-            let w = ph.wall.as_secs_f64();
-            match &ph.thread_work {
-                None => par += w,
-                Some(tw) => {
-                    let sum: u64 = tw.iter().sum();
-                    let max = tw.iter().copied().max().unwrap_or(0);
-                    // Parenthesized so `max == sum` contributes exactly
-                    // `w`: `(w * max) / sum` can round one ulp above `w`,
-                    // which would push the speedup below 1.0.
-                    par += if sum > 0 {
-                        w * (max as f64 / sum as f64)
-                    } else {
-                        w
-                    };
-                }
-            }
-        }
-        par
+        critical_path(self.phases.iter().filter(|p| names.contains(&p.name)))
     }
 
     /// The worst per-phase imbalance across all counting phases — the
@@ -198,6 +136,31 @@ impl ParallelRunStats {
             .map(|w| w.iter().copied().max().unwrap_or(0))
             .sum()
     }
+}
+
+/// The work model's run time of `phases`, in seconds: a serial phase
+/// costs its wall time, a parallel one `wall * max(work)/sum(work)`.
+fn critical_path<'a>(phases: impl Iterator<Item = &'a PhaseStat>) -> f64 {
+    let mut par = 0.0f64;
+    for ph in phases {
+        let w = ph.wall.as_secs_f64();
+        let (sum, max) = ph.thread_work.as_ref().map_or((0, 0), |tw| {
+            (
+                tw.iter().sum::<u64>(),
+                tw.iter().copied().max().unwrap_or(0),
+            )
+        });
+        // A serial phase, or one that recorded no work units, cannot
+        // shrink. Parenthesized so `max == sum` contributes exactly `w`:
+        // `(w * max) / sum` can round one ulp above `w`, which would push
+        // the speedup below 1.0.
+        par += if sum > 0 {
+            w * (max as f64 / sum as f64)
+        } else {
+            w
+        };
+    }
+    par
 }
 
 #[cfg(test)]

@@ -17,16 +17,15 @@
 //! the child classes.
 
 use crate::config::VerticalConfig;
-use crate::driver::{convert_members, extend_one, n_words_for, try_transpose, ClassBuf, Member};
-use crate::parallel::{class_seeds, fold_kernel_stats, TryMineOutcome};
+use crate::driver::{convert_members, extend_one, n_words_for, try_transpose, Member};
+use crate::parallel::{class_seeds, finish_run, mine_classes, TryMineOutcome};
 use crate::tidset::{intersect_sorted, KernelStats, TidSet};
 use arm_core::{equivalence_classes, FrequentLevel};
 use arm_dataset::{Database, Item, Tid};
-use arm_exec::ChunkPool;
-use arm_faults::{try_run_threads, RunControl};
+use arm_faults::RunControl;
 use arm_hashtree::WorkMeter;
-use arm_metrics::{Counter, MetricsRegistry, MetricsSnapshot, N_COUNTERS};
-use arm_parallel::{ccpd, record_exec, ParallelConfig, ParallelRunStats};
+use arm_metrics::{MetricsRegistry, MetricsSnapshot, N_COUNTERS};
+use arm_parallel::{ccpd, ParallelConfig, ParallelRunStats};
 use std::ops::Range;
 use std::time::Instant;
 
@@ -161,8 +160,6 @@ pub fn try_mine_hybrid(
     let mut capped = pcfg.clone();
     capped.base.max_k = Some(s);
     let (res, ccpd_stats) = ccpd::try_mine(db, &capped, ctrl)?;
-    // Faults fired so far were already tallied into the CCPD registry;
-    // only the vertical stage's delta goes into ours (the snapshots merge).
     let injected_at_switch = ctrl.faults.injected();
     let mut out = res.all_itemsets();
     let frontier = res.levels.last();
@@ -195,66 +192,39 @@ pub fn try_mine_hybrid(
     let seeds = class_seeds(&weights, p);
     span.finish_serial();
 
-    let pool =
-        ChunkPool::with_floor(&seeds, vcfg.scheduling, 1).with_cancel_token(ctrl.cancel.clone());
-    let span = metrics.phase("mine", s + 1);
-    let tidlists_ref = &tidlists;
-    let classes_ref = &classes;
-    let results: Vec<(KernelStats, Vec<ClassBuf>)> =
-        try_run_threads(p, "mine", &ctrl.cancel, |t| {
-            let mut stats = KernelStats::default();
-            let mut bufs = Vec::new();
-            let mut claim = 0u64;
-            while let Some(range) = pool.next(t) {
-                ctrl.faults.fire("mine", t, claim);
-                claim += 1;
-                for ci in range {
-                    let mut class_out = Vec::new();
-                    mine_deep_class(
-                        fs,
-                        classes_ref[ci].clone(),
-                        tidlists_ref,
-                        db.len(),
-                        min_support,
-                        user_max,
-                        vcfg,
-                        &mut stats,
-                        &mut class_out,
-                    );
-                    bufs.push((ci, class_out));
-                }
-            }
-            (stats, bufs)
-        })?;
-    record_exec(&metrics, &pool);
-    span.finish(results.iter().map(|(st, _)| st.work_units).collect());
-    for (t, (st, _)) in results.iter().enumerate() {
-        fold_kernel_stats(&metrics, t, st);
-    }
-    ctrl.gate("mine", run_start)?;
+    mine_classes(
+        &metrics,
+        ctrl,
+        run_start,
+        &seeds,
+        vcfg.scheduling,
+        s + 1,
+        &mut out,
+        |ci, stats, class_out| {
+            mine_deep_class(
+                fs,
+                classes[ci].clone(),
+                &tidlists,
+                db.len(),
+                min_support,
+                user_max,
+                vcfg,
+                stats,
+                class_out,
+            );
+        },
+    )?;
 
-    let span = metrics.phase("merge", s + 1);
-    let mut by_class: Vec<ClassBuf> = results.into_iter().flat_map(|(_, bufs)| bufs).collect();
-    by_class.sort_by_key(|(ci, _)| *ci);
-    for (_, mut chunk) in by_class {
-        out.append(&mut chunk);
-    }
-    out.sort_by(|a, b| a.0.len().cmp(&b.0.len()).then_with(|| a.0.cmp(&b.0)));
-    span.finish_serial();
-
-    metrics.shard(0).add(
-        Counter::FaultsInjected,
+    // CCPD's faults were already tallied into its own registry; only the
+    // vertical stage's are tallied here (the snapshots merge).
+    let mut stats = finish_run(
+        &metrics,
+        run_start,
         ctrl.faults.injected() - injected_at_switch,
     );
-    let mut phases = ccpd_stats.phases;
-    phases.extend(metrics.take_phases());
-    let stats = ParallelRunStats {
-        n_threads: p,
-        phases,
-        wall: run_start.elapsed(),
-        count_meters: ccpd_stats.count_meters,
-        metrics: merge_snapshots(&ccpd_stats.metrics, &metrics.snapshot()),
-    };
+    stats.phases.splice(0..0, ccpd_stats.phases);
+    stats.count_meters = ccpd_stats.count_meters;
+    stats.metrics = merge_snapshots(&ccpd_stats.metrics, &stats.metrics);
     Ok((out, stats))
 }
 

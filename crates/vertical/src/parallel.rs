@@ -21,7 +21,7 @@ use crate::driver::{
 };
 use crate::tidset::KernelStats;
 use arm_dataset::{Database, Item};
-use arm_exec::ChunkPool;
+use arm_exec::{ChunkPool, Scheduling};
 use arm_faults::{try_run_threads, MiningError, RunControl};
 use arm_hashtree::WorkMeter;
 use arm_metrics::{Counter, MetricsRegistry};
@@ -197,69 +197,106 @@ fn mine_parallel_impl(
                 root.len(),
                 "seed ranges must tile every first-level class exactly once"
             );
-            // Floor 1: a class is already a coarse task, so chunks must
-            // be allowed to shrink to single classes for stealing to
-            // help on skewed weight distributions.
-            let pool = ChunkPool::with_floor(seed_ranges, cfg.scheduling, 1)
-                .with_cancel_token(ctrl.cancel.clone());
-            let span = metrics.phase("mine", 1);
-            let root_ref = &root;
-            let results: Vec<(KernelStats, Vec<ClassBuf>)> =
-                try_run_threads(p, "mine", &ctrl.cancel, |t| {
-                    let mut stats = KernelStats::default();
-                    let mut bufs = Vec::new();
-                    let mut claim = 0u64;
-                    while let Some(range) = pool.next(t) {
-                        ctrl.faults.fire("mine", t, claim);
-                        claim += 1;
-                        for ci in range {
-                            let mut class_out = Vec::new();
-                            let mut prefix = Vec::new();
-                            extend_one(
-                                root_ref,
-                                ci,
-                                &mut prefix,
-                                min_support,
-                                max_k,
-                                cfg,
-                                db.len(),
-                                &mut stats,
-                                &mut class_out,
-                            );
-                            bufs.push((ci, class_out));
-                        }
-                    }
-                    (stats, bufs)
-                })?;
-            record_exec(&metrics, &pool);
-            span.finish(results.iter().map(|(s, _)| s.work_units).collect());
-            for (t, (s, _)) in results.iter().enumerate() {
-                fold_kernel_stats(&metrics, t, s);
-            }
-            ctrl.gate("mine", run_start)?;
-
-            let span = metrics.phase("merge", 1);
-            let mut by_class: Vec<ClassBuf> =
-                results.into_iter().flat_map(|(_, bufs)| bufs).collect();
-            by_class.sort_by_key(|(ci, _)| *ci);
-            for (_, mut chunk) in by_class {
-                out.append(&mut chunk);
-            }
-            out.sort_by(|a, b| a.0.len().cmp(&b.0.len()).then_with(|| a.0.cmp(&b.0)));
-            span.finish_serial();
+            mine_classes(
+                &metrics,
+                ctrl,
+                run_start,
+                seed_ranges,
+                cfg.scheduling,
+                1,
+                &mut out,
+                |ci, stats, class_out| {
+                    let mut prefix = Vec::new();
+                    extend_one(
+                        &root,
+                        ci,
+                        &mut prefix,
+                        min_support,
+                        max_k,
+                        cfg,
+                        db.len(),
+                        stats,
+                        class_out,
+                    );
+                },
+            )?;
         }
     }
-    metrics
-        .shard(0)
-        .add(Counter::FaultsInjected, ctrl.faults.injected());
-    let stats = ParallelRunStats {
+    Ok((out, finish_run(&metrics, run_start, ctrl.faults.injected())))
+}
+
+/// The class-mining phase both parallel drivers share. The classes the
+/// `seeds` ranges cover go to a floor-1 pool; `mine_class(ci, stats,
+/// out)` mines class `ci`. Phase `mine` (at iteration `k`) records each
+/// thread's kernel work; phase `merge` then appends the classes'
+/// itemsets to `out` in class order and sorts `out` canonically (length,
+/// then lex), so the result never depends on the schedule.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn mine_classes(
+    metrics: &MetricsRegistry,
+    ctrl: &RunControl,
+    run_start: Instant,
+    seeds: &[Range<usize>],
+    scheduling: Scheduling,
+    k: u32,
+    out: &mut Vec<(Vec<Item>, u32)>,
+    mine_class: impl Fn(usize, &mut KernelStats, &mut Vec<(Vec<Item>, u32)>) + Sync,
+) -> Result<(), MiningError> {
+    // Floor 1: a class is already a coarse task, so chunks must be
+    // allowed to shrink to single classes for stealing to help on skewed
+    // weight distributions.
+    let pool = ChunkPool::with_floor(seeds, scheduling, 1).with_cancel_token(ctrl.cancel.clone());
+    let span = metrics.phase("mine", k);
+    let results: Vec<(KernelStats, Vec<ClassBuf>)> =
+        try_run_threads(metrics.n_threads(), "mine", &ctrl.cancel, |t| {
+            let mut stats = KernelStats::default();
+            let mut bufs = Vec::new();
+            let mut claim = 0u64;
+            while let Some(range) = pool.next(t) {
+                ctrl.faults.fire("mine", t, claim);
+                claim += 1;
+                for ci in range {
+                    let mut class_out = Vec::new();
+                    mine_class(ci, &mut stats, &mut class_out);
+                    bufs.push((ci, class_out));
+                }
+            }
+            (stats, bufs)
+        })?;
+    record_exec(metrics, &pool);
+    span.finish(results.iter().map(|(s, _)| s.work_units).collect());
+    for (t, (s, _)) in results.iter().enumerate() {
+        fold_kernel_stats(metrics, t, s);
+    }
+    ctrl.gate("mine", run_start)?;
+
+    let span = metrics.phase("merge", k);
+    let mut by_class: Vec<ClassBuf> = results.into_iter().flat_map(|(_, bufs)| bufs).collect();
+    by_class.sort_by_key(|(ci, _)| *ci);
+    for (_, mut chunk) in by_class {
+        out.append(&mut chunk);
+    }
+    out.sort_by(|a, b| a.0.len().cmp(&b.0.len()).then_with(|| a.0.cmp(&b.0)));
+    span.finish_serial();
+    Ok(())
+}
+
+/// Tallies the `faults` a run injected into its registry and assembles
+/// the run's stats (no counting meters: vertical runs count none).
+pub(crate) fn finish_run(
+    metrics: &MetricsRegistry,
+    run_start: Instant,
+    faults: u64,
+) -> ParallelRunStats {
+    metrics.shard(0).add(Counter::FaultsInjected, faults);
+    let p = metrics.n_threads();
+    ParallelRunStats {
         n_threads: p,
         phases: metrics.take_phases(),
         wall: run_start.elapsed(),
         count_meters: vec![WorkMeter::default(); p],
         metrics: metrics.snapshot(),
-    };
-    Ok((out, stats))
+    }
 }
 
 #[cfg(test)]

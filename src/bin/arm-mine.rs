@@ -15,6 +15,12 @@ use parallel_arm::prelude::*;
 
 const EXTRA_OPTS: &[&str] = &["format", "confidence", "threads", "summary", "top"];
 
+/// Reports a bad command line and exits via [`usage`].
+fn bad_args(e: impl std::fmt::Display) -> ! {
+    eprintln!("error: {e}");
+    usage();
+}
+
 fn usage() -> ! {
     eprintln!(
         "usage: arm-mine <input> [--format text|bin] [--support 0.005|50t]\n\
@@ -27,41 +33,33 @@ fn usage() -> ! {
 
 fn main() {
     let allowed: Vec<&str> = MINING_OPTS.iter().chain(EXTRA_OPTS).copied().collect();
-    let args = match Args::parse(std::env::args().skip(1), &allowed, MINING_FLAGS) {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("error: {e}");
-            usage();
-        }
-    };
+    let args = Args::parse(std::env::args().skip(1), &allowed, MINING_FLAGS)
+        .unwrap_or_else(|e| bad_args(e));
     if args.flag("help") || args.positional().len() != 1 {
         usage();
     }
     let input = &args.positional()[0];
+    let cfg = mining_config(&args).unwrap_or_else(|e| bad_args(e));
+    let threads: usize = args
+        .get_parsed("threads", 1, "an integer")
+        .unwrap_or_else(|e| bad_args(e));
+    let confidence: f64 = args
+        .get_parsed("confidence", 0.8, "a fraction")
+        .unwrap_or_else(|e| bad_args(e));
+    let top: usize = args
+        .get_parsed("top", 20, "an integer")
+        .unwrap_or_else(|e| bad_args(e));
 
     let db = match args.get("format").unwrap_or("text") {
         "bin" => parallel_arm::dataset::io::load(input),
         "text" => std::fs::File::open(input)
             .and_then(|f| parallel_arm::dataset::io::read_text(std::io::BufReader::new(f), 0)),
-        other => {
-            eprintln!("error: unknown format {other:?} (text | bin)");
-            usage();
-        }
+        other => bad_args(format_args!("unknown format {other:?} (text | bin)")),
     }
     .unwrap_or_else(|e| {
         eprintln!("error: cannot read {input}: {e}");
         std::process::exit(1);
     });
-
-    let cfg = mining_config(&args).unwrap_or_else(|e| {
-        eprintln!("error: {e}");
-        usage();
-    });
-    let threads: usize = args.get_parsed("threads", 1, "an integer").unwrap_or(1);
-    let confidence: f64 = args
-        .get_parsed("confidence", 0.8, "a fraction")
-        .unwrap_or(0.8);
-    let top: usize = args.get_parsed("top", 20, "an integer").unwrap_or(20);
 
     eprintln!(
         "mining {} transactions over {} items ({} threads)...",

@@ -160,16 +160,27 @@ pub fn mining_config(args: &Args) -> Result<AprioriConfig, CliError> {
         };
     }
     cfg.leaf_threshold = args.get_parsed("leaf-threshold", cfg.leaf_threshold, "an integer")?;
+    if cfg.leaf_threshold == 0 {
+        return Err(CliError::BadValue {
+            key: "leaf-threshold".into(),
+            value: args.get("leaf-threshold").unwrap_or_default().into(),
+            expected: "a positive integer",
+        });
+    }
     if let Some(f) = args.get("fanout") {
         if f == "auto" {
             cfg.adaptive_fanout = true;
         } else {
             cfg.adaptive_fanout = false;
-            cfg.fixed_fanout = f.parse().map_err(|_| CliError::BadValue {
-                key: "fanout".into(),
-                value: f.into(),
-                expected: "an integer or 'auto'",
-            })?;
+            cfg.fixed_fanout =
+                f.parse()
+                    .ok()
+                    .filter(|&h| h > 0)
+                    .ok_or_else(|| CliError::BadValue {
+                        key: "fanout".into(),
+                        value: f.into(),
+                        expected: "a positive integer or 'auto'",
+                    })?;
         }
     }
     if let Some(mk) = args.get("max-k") {
@@ -294,6 +305,8 @@ mod tests {
             ("placement", "ZPP"),
             ("hash", "sha256"),
             ("visited", "maybe"),
+            ("fanout", "0"),
+            ("leaf-threshold", "0"),
         ] {
             let a = parse(&[&format!("--{k}"), v]);
             assert!(mining_config(&a).is_err(), "--{k} {v}");
