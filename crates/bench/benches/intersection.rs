@@ -1,8 +1,8 @@
 //! Micro-benchmarks of the tidset intersection kernels: linear merge vs
-//! galloping search vs bitmap word-AND, across densities bracketing the
-//! 1/64 break-even the adaptive backend choice is built on.
+//! bitmap word-AND, across densities bracketing the 1/64 break-even the
+//! adaptive backend choice is built on.
 
-use arm_vertical::{and_words, intersect_galloping, intersect_linear, TidSet};
+use arm_vertical::{and_words, intersect_linear, TidSet};
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
 const UNIVERSE: u32 = 65_536;
@@ -58,14 +58,6 @@ fn bench_intersection_by_density(c: &mut Criterion) {
                 out.len()
             })
         });
-        g.bench_function("galloping", |bch| {
-            let mut out = Vec::with_capacity(len);
-            bch.iter(|| {
-                out.clear();
-                intersect_galloping(black_box(&a), black_box(&b), &mut out);
-                out.len()
-            })
-        });
         g.bench_function("word-and", |bch| {
             let mut out = Vec::with_capacity(words);
             bch.iter(|| and_words(black_box(&aw), black_box(&bw), &mut out))
@@ -74,34 +66,5 @@ fn bench_intersection_by_density(c: &mut Criterion) {
     }
 }
 
-fn bench_galloping_asymmetry(c: &mut Criterion) {
-    // The galloping kernel's home turf: a short deep-prefix tidset
-    // against a long singleton tidlist (1:256 length ratio).
-    let small = sample(64, 0x1234);
-    let large = sample(16_384, 0x9876);
-    let mut g = c.benchmark_group("intersection/asymmetric-1-256");
-    g.bench_function("linear", |bch| {
-        let mut out = Vec::with_capacity(64);
-        bch.iter(|| {
-            out.clear();
-            intersect_linear(black_box(&small), black_box(&large), &mut out);
-            out.len()
-        })
-    });
-    g.bench_function("galloping", |bch| {
-        let mut out = Vec::with_capacity(64);
-        bch.iter(|| {
-            out.clear();
-            intersect_galloping(black_box(&small), black_box(&large), &mut out);
-            out.len()
-        })
-    });
-    g.finish();
-}
-
-criterion_group!(
-    intersection,
-    bench_intersection_by_density,
-    bench_galloping_asymmetry
-);
+criterion_group!(intersection, bench_intersection_by_density);
 criterion_main!(intersection);

@@ -19,7 +19,7 @@
 //! Three gates, reflected in the exit code so CI can smoke-run this:
 //!
 //! 1. **Correctness** — every backend × P × mode must match the
-//!    sequential sorted-backend oracle (hard failure).
+//!    sequential `arm_core::mine_eclat` oracle (hard failure).
 //! 2. **Backend** — on dense at P = 8, the bitmap backend must beat the
 //!    sorted-list backend on wall time (hard failure; wall is total CPU
 //!    work on a serialized host, so this holds on any core count).
@@ -29,10 +29,11 @@
 //!    thread counts serialize (see DESIGN.md §5 on the work model).
 
 use arm_bench::{banner, reps_for, scaled_params, time_best, ScaleMode};
+use arm_core::mine_eclat;
 use arm_dataset::{Database, Item};
 use arm_metrics::Counter;
 use arm_quest::{generate, LengthDist};
-use arm_vertical::{mine_vertical, TidBackend, VerticalConfig};
+use arm_vertical::{TidBackend, VerticalConfig};
 
 const THREADS: [usize; 4] = [1, 2, 4, 8];
 
@@ -107,13 +108,8 @@ fn main() {
         "steals"
     );
     for (name, db, minsup, max_k) in workloads {
-        // Sequential sorted-backend run is the correctness oracle.
-        let oracle: Vec<(Vec<Item>, u32)> = mine_vertical(
-            db,
-            minsup,
-            max_k,
-            &VerticalConfig::default().with_backend(TidBackend::Sorted),
-        );
+        // Sequential Eclat is the correctness oracle.
+        let oracle: Vec<(Vec<Item>, u32)> = mine_eclat(db, minsup, max_k);
         assert!(!oracle.is_empty(), "{name}: degenerate workload");
         for backend in [TidBackend::Sorted, TidBackend::Bitmap, TidBackend::Auto] {
             let cfg = VerticalConfig::default().with_backend(backend);
@@ -152,7 +148,7 @@ fn main() {
             min_support: Support::Fraction(0.005),
             ..AprioriConfig::default()
         };
-        let expected = mine_vertical(&sparse, sparse_minsup, None, &VerticalConfig::default());
+        let expected = mine_eclat(&sparse, sparse_minsup, None);
         for p in THREADS {
             let pcfg = ParallelConfig::new(base.clone(), p);
             let vcfg = VerticalConfig::default();

@@ -148,7 +148,12 @@ pub fn read_text<R: Read>(r: R, n_items: u32) -> io::Result<Database> {
         if txns.iter().all(|t| t.is_empty()) {
             1
         } else {
-            max_item + 1
+            max_item.checked_add(1).ok_or_else(|| {
+                io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    format!("item {max_item} is too large to infer n_items (max item + 1)"),
+                )
+            })?
         }
     } else {
         n_items
@@ -231,6 +236,16 @@ mod tests {
         let back = read_text("3 1 2\n9".as_bytes(), 0).unwrap();
         assert_eq!(back.n_items(), 10);
         assert_eq!(back.transaction(0), &[1, 2, 3]);
+    }
+
+    #[test]
+    fn text_rejects_item_too_large_to_infer_n_items() {
+        let err = read_text("1 4294967295\n".as_bytes(), 0).expect_err("u32::MAX + 1 overflows");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("item 4294967295"), "{err}");
+        // With an explicit item count the same id is just out of range.
+        let err = read_text("1 4294967295\n".as_bytes(), 8).expect_err("out of range");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     }
 
     #[test]

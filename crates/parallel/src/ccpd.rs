@@ -338,17 +338,6 @@ pub fn record_exec(metrics: &MetricsRegistry, pool: &ChunkPool) {
     }
 }
 
-/// Spawns `p` scoped threads running `f(thread_id)` and collects results
-/// in thread order. With `p == 1` the closure runs on the caller's thread.
-///
-/// Infallible wrapper over [`arm_faults::try_run_threads`] with a throwaway
-/// token: a worker panic is contained, siblings still join, and the typed
-/// error is re-raised on the caller. Fallible drivers call the `try`
-/// variant directly.
-pub fn run_threads<R: Send>(p: usize, f: impl Fn(usize) -> R + Sync) -> Vec<R> {
-    try_run_threads(p, "run", &CancelToken::new(), f).unwrap_or_else(|e| panic!("{e}"))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -47,7 +47,7 @@ pub mod stats;
 
 pub use arm_exec::Scheduling;
 pub use arm_faults::{try_run_threads, CancelToken, FaultKind, FaultPlan, MiningError, RunControl};
-pub use ccpd::{record_exec, run_threads};
+pub use ccpd::record_exec;
 pub use config::{DbPartition, ParallelConfig};
 pub use report::run_report;
 pub use scratch::ScratchPool;

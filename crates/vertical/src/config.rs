@@ -3,13 +3,20 @@
 use crate::tidset::Backend;
 use arm_exec::Scheduling;
 
+/// With [`TidBackend::Auto`], a class mines on bitmaps iff its members'
+/// average support is at least `DENSITY_THRESHOLD · n_txns`. One AND word
+/// covers 64 transactions, so `1/64` is the density where the bitmap's
+/// fixed `n/64`-word cost matches the sorted merge's length-proportional
+/// cost.
+const DENSITY_THRESHOLD: f64 = 1.0 / 64.0;
+
 /// Tidset representation policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum TidBackend {
-    /// Pick per equivalence class by density (see
-    /// [`VerticalConfig::density_threshold`]). Root and child classes
-    /// re-decide independently, so a run can start on bitmaps and fall
-    /// back to lists as tidsets thin out with depth.
+    /// Pick per equivalence class by density: bitmaps once the members'
+    /// average support reaches `n_txns / 64`, sorted lists below. Root
+    /// and child classes re-decide independently, so a run can start on
+    /// bitmaps and fall back to lists as tidsets thin out with depth.
     #[default]
     Auto,
     /// Always sorted tid lists.
@@ -18,21 +25,13 @@ pub enum TidBackend {
     Bitmap,
 }
 
-/// Configuration of the vertical (Eclat) miners. Defaults are the fully
-/// optimized settings; [`VerticalConfig::unoptimized`] turns every
-/// fast-path off for A/B comparison, mirroring `AprioriConfig`.
+/// Configuration of the vertical (Eclat) miners. Defaults are the
+/// optimized settings; the builders force a backend or a scheduling mode
+/// for A/B comparison.
 #[derive(Debug, Clone)]
 pub struct VerticalConfig {
     /// Tidset representation policy.
     pub backend: TidBackend,
-    /// With [`TidBackend::Auto`], a class mines on bitmaps iff its
-    /// members' average support is at least `density_threshold · n_txns`.
-    /// Default `1/64`: one AND word covers 64 transactions, so that is
-    /// the density where the bitmap's fixed `n/64`-word cost matches the
-    /// sorted merge's length-proportional cost.
-    pub density_threshold: f64,
-    /// Use the galloping merge for sorted lists (off: two-pointer walk).
-    pub galloping: bool,
     /// How the parallel driver distributes first-level classes.
     pub scheduling: Scheduling,
     /// Hybrid switch level `s`: [`crate::mine_hybrid`] counts levels
@@ -45,8 +44,6 @@ impl Default for VerticalConfig {
     fn default() -> Self {
         VerticalConfig {
             backend: TidBackend::Auto,
-            density_threshold: 1.0 / 64.0,
-            galloping: true,
             scheduling: Scheduling::default(),
             switch_level: 2,
         }
@@ -54,17 +51,6 @@ impl Default for VerticalConfig {
 }
 
 impl VerticalConfig {
-    /// Every fast path off: sorted lists only, linear merge, static
-    /// scheduling. The A/B baseline for the bench gates.
-    pub fn unoptimized() -> Self {
-        VerticalConfig {
-            backend: TidBackend::Sorted,
-            galloping: false,
-            scheduling: Scheduling::Static,
-            ..VerticalConfig::default()
-        }
-    }
-
     /// Builder-style backend setter.
     pub fn with_backend(mut self, b: TidBackend) -> Self {
         self.backend = b;
@@ -94,7 +80,7 @@ impl VerticalConfig {
                     return Backend::Sorted;
                 }
                 let avg = total_support as f64 / n_members as f64;
-                if avg >= self.density_threshold * n_txns as f64 {
+                if avg >= DENSITY_THRESHOLD * n_txns as f64 {
                     Backend::Bitmap
                 } else {
                     Backend::Sorted
@@ -112,17 +98,17 @@ mod tests {
     fn defaults_are_optimized() {
         let c = VerticalConfig::default();
         assert_eq!(c.backend, TidBackend::Auto);
-        assert!(c.galloping);
         assert_eq!(c.scheduling, Scheduling::Stealing);
         assert_eq!(c.switch_level, 2);
-        assert!((c.density_threshold - 1.0 / 64.0).abs() < 1e-12);
+        assert_eq!(DENSITY_THRESHOLD, 1.0 / 64.0);
     }
 
     #[test]
-    fn unoptimized_turns_everything_off() {
-        let c = VerticalConfig::unoptimized();
+    fn forced_sorted_ignores_density() {
+        let c = VerticalConfig::default()
+            .with_backend(TidBackend::Sorted)
+            .with_scheduling(Scheduling::Static);
         assert_eq!(c.backend, TidBackend::Sorted);
-        assert!(!c.galloping);
         assert_eq!(c.scheduling, Scheduling::Static);
         // choose() honors the forced backend regardless of density.
         assert_eq!(c.choose(1_000_000, 1, 10), Backend::Sorted);

@@ -1,12 +1,11 @@
 //! The shared vertical-mining machinery: database transposition, class
-//! construction, and the prefix-class DFS — plus the sequential driver
-//! [`mine_vertical`] built from them.
+//! construction, and the prefix-class DFS that both Eclat drivers
+//! ([`crate::mine_eclat_parallel`] and [`crate::mine_hybrid`]) run.
 //!
-//! The DFS is split into [`extend_one`] (grow one member of a class) and
-//! [`extend_all`] (grow every member in order) so the sequential driver
-//! and the parallel one in [`crate::parallel`] emit *identical* itemset
-//! sets: a parallel task is exactly one `extend_one` call, and a class's
-//! subtree never depends on any other class's traversal.
+//! The DFS step `extend_one` grows one member of a class and recurses
+//! into its child class, so a parallel task is exactly one `extend_one`
+//! call and a class's subtree never depends on any other class's
+//! traversal.
 
 use crate::config::VerticalConfig;
 use crate::tidset::{Backend, KernelStats, TidSet};
@@ -39,15 +38,12 @@ pub(crate) fn n_words_for(n_txns: usize) -> usize {
 /// thread (= tid) order, so the result is deterministic and each list
 /// stays sorted. Returns the lists and the per-thread work tally
 /// (items visited).
-pub(crate) fn transpose(db: &Database, p: usize) -> (Vec<Vec<Tid>>, Vec<u64>) {
-    try_transpose(db, p, &RunControl::default()).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Fallible [`transpose`]: each worker checkpoints the control's token
-/// once before scanning its block (the block is one indivisible unit of
-/// transposition work) and fires fault-plan sites in phase `transpose`.
-/// A cancelled run's partial lists are discarded by the caller's phase
-/// gate, never merged into results.
+///
+/// Each worker checkpoints the control's token once before scanning its
+/// block (the block is one indivisible unit of transposition work) and
+/// fires fault-plan sites in phase `transpose`. A cancelled run's partial
+/// lists are discarded by the caller's phase gate, never merged into
+/// results.
 pub(crate) fn try_transpose(
     db: &Database,
     p: usize,
@@ -127,9 +123,9 @@ pub(crate) fn convert_members(
 
 /// Grows member `i` of `class`: joins it with every later member, emits
 /// the surviving children (itemsets of length `prefix.len() + 2`), and
-/// recurses while `max_k` allows. The child class re-decides its tidset
-/// backend by its own density — deep classes are typically much sparser
-/// than the root.
+/// recurses into every child, in order, while `max_k` allows. The child
+/// class re-decides its tidset backend by its own density — deep classes
+/// are typically much sparser than the root.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn extend_one(
     class: &[Member],
@@ -146,7 +142,7 @@ pub(crate) fn extend_one(
     let mut child: Vec<Member> = Vec::new();
     let mut total_support = 0u64;
     for b in &class[i + 1..] {
-        let tids = a.tids.intersect(&b.tids, cfg.galloping, stats);
+        let tids = a.tids.intersect(&b.tids, stats);
         if tids.support() >= min_support {
             total_support += tids.support() as u64;
             child.push(Member { item: b.item, tids });
@@ -165,93 +161,28 @@ pub(crate) fn extend_one(
     }
     let depth = prefix.len() as u32 + 1; // length of the emitted itemsets
     if max_k.is_none_or(|cap| depth < cap) {
-        extend_all(&child, prefix, min_support, max_k, cfg, n_txns, stats, out);
+        for j in 0..child.len() {
+            extend_one(
+                &child,
+                j,
+                prefix,
+                min_support,
+                max_k,
+                cfg,
+                n_txns,
+                stats,
+                out,
+            );
+        }
     }
     prefix.pop();
-}
-
-/// [`extend_one`] over every member of `class`, in order.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn extend_all(
-    class: &[Member],
-    prefix: &mut Vec<Item>,
-    min_support: u32,
-    max_k: Option<u32>,
-    cfg: &VerticalConfig,
-    n_txns: usize,
-    stats: &mut KernelStats,
-    out: &mut Vec<(Vec<Item>, u32)>,
-) {
-    for i in 0..class.len() {
-        extend_one(
-            class,
-            i,
-            prefix,
-            min_support,
-            max_k,
-            cfg,
-            n_txns,
-            stats,
-            out,
-        );
-    }
-}
-
-/// Sequential vertical miner. Bit-identical output (order included) to
-/// [`arm_core::mine_eclat`]: length-then-lex over the same itemsets.
-pub fn mine_vertical(
-    db: &Database,
-    min_support: u32,
-    max_k: Option<u32>,
-    cfg: &VerticalConfig,
-) -> Vec<(Vec<Item>, u32)> {
-    mine_vertical_stats(db, min_support, max_k, cfg).0
-}
-
-/// [`mine_vertical`] plus the run's [`KernelStats`].
-pub fn mine_vertical_stats(
-    db: &Database,
-    min_support: u32,
-    max_k: Option<u32>,
-    cfg: &VerticalConfig,
-) -> (Vec<(Vec<Item>, u32)>, KernelStats) {
-    let mut stats = KernelStats::default();
-    // `max_k = Some(0)` allows no itemset of any length — uniform across
-    // every miner in the workspace (see the max_k edge-case suite).
-    if max_k == Some(0) {
-        return (Vec::new(), stats);
-    }
-    let min_support = min_support.max(1);
-    let (tidlists, _) = transpose(db, 1);
-    let mut root = build_root(tidlists, min_support, &mut stats);
-    let mut out: Vec<(Vec<Item>, u32)> = root
-        .iter()
-        .map(|m| (vec![m.item], m.tids.support()))
-        .collect();
-    if max_k != Some(1) && !root.is_empty() {
-        let total: u64 = root.iter().map(|m| m.tids.support() as u64).sum();
-        let target = cfg.choose(total, root.len(), db.len());
-        convert_members(&mut root, target, n_words_for(db.len()), &mut stats);
-        let mut prefix = Vec::new();
-        extend_all(
-            &root,
-            &mut prefix,
-            min_support,
-            max_k,
-            cfg,
-            db.len(),
-            &mut stats,
-            &mut out,
-        );
-    }
-    out.sort_by(|a, b| a.0.len().cmp(&b.0.len()).then_with(|| a.0.cmp(&b.0)));
-    (out, stats)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::TidBackend;
+    use crate::parallel::mine_eclat_parallel;
     use arm_core::mine_eclat;
 
     fn paper_db() -> Database {
@@ -267,13 +198,41 @@ mod tests {
         .unwrap()
     }
 
+    /// The DFS's [`KernelStats`] for a full run, driven through
+    /// `build_root` and `extend_one` directly so the tallies are checked
+    /// whether or not the metrics feature is compiled in.
+    fn dfs_stats(db: &Database, min_support: u32, cfg: &VerticalConfig) -> KernelStats {
+        let mut stats = KernelStats::default();
+        let (tidlists, _) = try_transpose(db, 1, &RunControl::default()).unwrap();
+        let mut root = build_root(tidlists, min_support, &mut stats);
+        let total: u64 = root.iter().map(|m| m.tids.support() as u64).sum();
+        let target = cfg.choose(total, root.len(), db.len());
+        convert_members(&mut root, target, n_words_for(db.len()), &mut stats);
+        let mut out = Vec::new();
+        for i in 0..root.len() {
+            extend_one(
+                &root,
+                i,
+                &mut Vec::new(),
+                min_support,
+                None,
+                cfg,
+                db.len(),
+                &mut stats,
+                &mut out,
+            );
+        }
+        stats
+    }
+
     #[test]
     fn transpose_is_deterministic_across_thread_counts() {
         let db = paper_db();
-        let (one, w1) = transpose(&db, 1);
+        let ctrl = RunControl::default();
+        let (one, w1) = try_transpose(&db, 1, &ctrl).unwrap();
         assert_eq!(w1, vec![db.total_items() as u64]);
         for p in [2, 3, 4, 8] {
-            let (many, w) = transpose(&db, p);
+            let (many, w) = try_transpose(&db, p, &ctrl).unwrap();
             assert_eq!(many, one, "p={p}");
             assert_eq!(w.iter().sum::<u64>(), db.total_items() as u64);
             assert_eq!(w.len(), p);
@@ -286,20 +245,14 @@ mod tests {
     fn matches_core_eclat_bit_identical() {
         let db = paper_db();
         for backend in [TidBackend::Auto, TidBackend::Sorted, TidBackend::Bitmap] {
-            for galloping in [false, true] {
-                let cfg = VerticalConfig {
-                    backend,
-                    galloping,
-                    ..VerticalConfig::default()
-                };
-                for minsup in 1..=4 {
-                    for max_k in [None, Some(1), Some(2), Some(3), Some(10)] {
-                        assert_eq!(
-                            mine_vertical(&db, minsup, max_k, &cfg),
-                            mine_eclat(&db, minsup, max_k),
-                            "backend={backend:?} gallop={galloping} minsup={minsup} max_k={max_k:?}"
-                        );
-                    }
+            let cfg = VerticalConfig::default().with_backend(backend);
+            for minsup in 1..=4 {
+                for max_k in [None, Some(1), Some(2), Some(3), Some(10)] {
+                    assert_eq!(
+                        mine_eclat_parallel(&db, minsup, max_k, &cfg, 1).0,
+                        mine_eclat(&db, minsup, max_k),
+                        "backend={backend:?} minsup={minsup} max_k={max_k:?}"
+                    );
                 }
             }
         }
@@ -308,24 +261,23 @@ mod tests {
     #[test]
     fn max_k_zero_is_empty() {
         let db = paper_db();
-        assert!(mine_vertical(&db, 1, Some(0), &VerticalConfig::default()).is_empty());
+        let (got, _) = mine_eclat_parallel(&db, 1, Some(0), &VerticalConfig::default(), 1);
+        assert!(got.is_empty());
     }
 
     #[test]
     fn stats_reflect_backend() {
         let db = paper_db();
-        let (_, sorted) = mine_vertical_stats(
+        let sorted = dfs_stats(
             &db,
             2,
-            None,
             &VerticalConfig::default().with_backend(TidBackend::Sorted),
         );
         assert!(sorted.intersections > 0);
         assert_eq!(sorted.words_anded, 0, "no AND on the sorted backend");
-        let (_, bitmap) = mine_vertical_stats(
+        let bitmap = dfs_stats(
             &db,
             2,
-            None,
             &VerticalConfig::default().with_backend(TidBackend::Bitmap),
         );
         assert_eq!(bitmap.intersections, sorted.intersections);
@@ -335,6 +287,7 @@ mod tests {
     #[test]
     fn empty_database() {
         let db = Database::from_transactions(4, Vec::<Vec<u32>>::new()).unwrap();
-        assert!(mine_vertical(&db, 1, None, &VerticalConfig::default()).is_empty());
+        let (got, _) = mine_eclat_parallel(&db, 1, None, &VerticalConfig::default(), 1);
+        assert!(got.is_empty());
     }
 }

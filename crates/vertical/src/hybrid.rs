@@ -10,7 +10,7 @@
 //! vertically with the same weighted class scheduling as
 //! [`crate::mine_eclat_parallel`].
 //!
-//! Output is bit-identical to full CCPD / sequential Eclat: the class
+//! Output is bit-identical to full CCPD / Eclat: the class
 //! partition of `F_s` is exact (equivalence classes share their first
 //! `s-1` items), every frequent `(s+1)`-itemset has both its generating
 //! `s`-subsets in one class, and deeper levels follow inductively inside
@@ -23,7 +23,6 @@ use crate::tidset::{intersect_sorted, KernelStats, TidSet};
 use arm_core::{equivalence_classes, FrequentLevel};
 use arm_dataset::{Database, Item, Tid};
 use arm_faults::RunControl;
-use arm_hashtree::WorkMeter;
 use arm_metrics::{MetricsRegistry, MetricsSnapshot, N_COUNTERS};
 use arm_parallel::{ccpd, ParallelConfig, ParallelRunStats};
 use std::ops::Range;
@@ -68,7 +67,7 @@ fn mine_deep_class(
         let list = &tidlists[item as usize];
         Some(match acc {
             None => list.clone(),
-            Some(a) => intersect_sorted(&a, list, cfg.galloping, stats),
+            Some(a) => intersect_sorted(&a, list, stats),
         })
     });
     let mut members: Vec<Member> = Vec::with_capacity(class.len());
@@ -78,7 +77,7 @@ fn mine_deep_class(
         let last = items[s - 1];
         let tids = match &prefix_tids {
             None => tidlists[last as usize].clone(),
-            Some(a) => intersect_sorted(a, &tidlists[last as usize], cfg.galloping, stats),
+            Some(a) => intersect_sorted(a, &tidlists[last as usize], stats),
         };
         debug_assert_eq!(
             tids.len() as u32,
@@ -113,7 +112,7 @@ fn mine_deep_class(
 /// beyond. Uses `pcfg.n_threads` workers throughout; `pcfg.base.max_k`
 /// caps the overall depth exactly as in the other miners. Returns the
 /// canonical length-then-lex itemsets (bit-identical to
-/// `ccpd::mine(..).0.all_itemsets()` and [`crate::mine_vertical`]) and
+/// `ccpd::mine(..).0.all_itemsets()` and [`arm_core::mine_eclat`]) and
 /// the stitched stats of both regimes (CCPD phases followed by the
 /// vertical transpose/classes/mine/merge phases).
 pub fn mine_hybrid(
@@ -141,13 +140,7 @@ pub fn try_mine_hybrid(
     if user_max == Some(0) {
         return Ok((
             Vec::new(),
-            ParallelRunStats {
-                n_threads: p,
-                phases: Vec::new(),
-                wall: run_start.elapsed(),
-                count_meters: vec![WorkMeter::default(); p],
-                metrics: MetricsSnapshot::default(),
-            },
+            finish_run(&MetricsRegistry::new(p), run_start, 0),
         ));
     }
     let s = vcfg.switch_level.max(1);
@@ -296,6 +289,22 @@ mod tests {
         assert!(stats.phases.iter().any(|ph| ph.name == "mine"));
         assert_eq!(stats.n_threads, 2);
         assert_eq!(stats.count_meters.len(), 2);
+    }
+
+    #[test]
+    fn max_k_zero_stats_match_the_other_drivers() {
+        let db = paper_db();
+        let mut cfg = pcfg(2, 3);
+        cfg.base.max_k = Some(0);
+        let (got, stats) = mine_hybrid(&db, &cfg, &VerticalConfig::default());
+        assert!(got.is_empty());
+        let (_, eclat) = crate::mine_eclat_parallel(&db, 2, Some(0), &VerticalConfig::default(), 3);
+        assert_eq!(stats.n_threads, 3);
+        assert_eq!(stats.count_meters.len(), 3);
+        assert_eq!(stats.metrics.enabled, MetricsRegistry::enabled());
+        assert_eq!(stats.metrics.enabled, eclat.metrics.enabled);
+        assert_eq!(stats.metrics.per_thread.len(), 3);
+        assert_eq!(stats.metrics.per_thread, eclat.metrics.per_thread);
     }
 
     #[test]

@@ -8,14 +8,16 @@
 //! subsystem:
 //!
 //! * [`tidset`] — the [`TidSet`] representations (sorted lists vs dense
-//!   bitmaps) and their intersection kernels;
-//! * [`config`] — the [`VerticalConfig`] knobs: backend policy, density
-//!   threshold, galloping merge, class scheduling, hybrid switch level;
-//! * [`driver`] — transposition, prefix-class DFS, and the sequential
-//!   [`mine_vertical`] (bit-identical to [`arm_core::mine_eclat`]);
+//!   bitmaps) and their two intersection kernels (two-pointer merge and
+//!   word-AND);
+//! * [`config`] — the [`VerticalConfig`] knobs: backend policy, class
+//!   scheduling, hybrid switch level;
+//! * [`driver`] — transposition and the prefix-class DFS both drivers
+//!   share;
 //! * [`parallel`] — [`mine_eclat_parallel`]: first-level equivalence
 //!   classes as weighted tasks on the `arm-exec` chunk pool, with a
-//!   deterministic merge;
+//!   deterministic merge (bit-identical to [`arm_core::mine_eclat`] at
+//!   any thread count);
 //! * [`hybrid`] — [`mine_hybrid`]: CCPD hash-tree counting for the
 //!   shallow levels, then transpose `F_s` and finish vertically.
 //!
@@ -41,13 +43,9 @@ pub mod tidset;
 
 pub use arm_faults::{CancelToken, FaultKind, FaultPlan, MiningError, RunControl};
 pub use config::{TidBackend, VerticalConfig};
-pub use driver::{mine_vertical, mine_vertical_stats};
 pub use hybrid::{mine_hybrid, try_mine_hybrid};
 pub use parallel::{
     class_seeds, mine_eclat_parallel, mine_eclat_parallel_seeded, try_mine_eclat_parallel,
     TryMineOutcome,
 };
-pub use tidset::{
-    and_words, intersect_galloping, intersect_linear, intersect_sorted, Backend, KernelStats,
-    TidSet,
-};
+pub use tidset::{and_words, intersect_linear, intersect_sorted, Backend, KernelStats, TidSet};

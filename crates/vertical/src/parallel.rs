@@ -1,14 +1,13 @@
 //! Parallel Eclat: first-level prefix equivalence classes scheduled as
 //! weighted tasks on the `arm-exec` chunk pool.
 //!
-//! A task is one root-class member's entire DFS subtree
-//! ([`crate::driver::extend_one`]), so tasks touch disjoint outputs and
-//! need no locks. Threads append `(class_index, itemsets)` buffers;
+//! A task is one root-class member's entire DFS subtree (one call of the
+//! shared DFS step in [`crate::driver`]), so tasks touch disjoint outputs
+//! and need no locks. Threads append `(class_index, itemsets)` buffers;
 //! the merge sorts by class index and applies the final length-then-lex
-//! canonical order, which makes the result bit-identical to the
-//! sequential [`crate::mine_vertical`] (and [`arm_core::mine_eclat`])
-//! under *any* schedule — itemset order never depends on which thread
-//! ran which class.
+//! canonical order, which makes the result bit-identical to
+//! [`arm_core::mine_eclat`] under *any* schedule — itemset order never
+//! depends on which thread ran which class.
 //!
 //! Class weights for the initial split are the suffix sums of member
 //! supports: member `i` joins with every later member, so the tidset
@@ -62,7 +61,7 @@ pub fn class_seeds(weights: &[u64], p: usize) -> Vec<Range<usize>> {
 
 /// Parallel Eclat over `n_threads` workers. Returns the frequent
 /// itemsets in canonical length-then-lex order (bit-identical to
-/// [`crate::mine_vertical`]) and the run's phase/telemetry stats.
+/// [`arm_core::mine_eclat`]) and the run's phase/telemetry stats.
 pub fn mine_eclat_parallel(
     db: &Database,
     min_support: u32,
@@ -303,7 +302,7 @@ pub(crate) fn finish_run(
 mod tests {
     use super::*;
     use crate::config::TidBackend;
-    use crate::driver::mine_vertical;
+    use arm_core::mine_eclat;
     use arm_exec::Scheduling;
 
     fn paper_db() -> Database {
@@ -350,7 +349,7 @@ mod tests {
                 let cfg = VerticalConfig::default()
                     .with_backend(backend)
                     .with_scheduling(mode);
-                let want = mine_vertical(&db, 2, None, &cfg);
+                let want = mine_eclat(&db, 2, None);
                 for p in [1, 2, 4, 8] {
                     let (got, stats) = mine_eclat_parallel(&db, 2, None, &cfg, p);
                     assert_eq!(got, want, "backend={backend:?} mode={mode:?} p={p}");
@@ -376,7 +375,7 @@ mod tests {
     fn seeded_split_is_schedule_invariant() {
         let db = paper_db();
         let cfg = VerticalConfig::default();
-        let want = mine_vertical(&db, 2, None, &cfg);
+        let want = mine_eclat(&db, 2, None);
         // Root classes: items 1, 2, 4, 5 → 4 classes. Adversarial tiles.
         for seeds in [
             vec![0..4, 4..4, 4..4, 4..4],

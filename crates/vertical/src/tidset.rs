@@ -3,21 +3,18 @@
 //! A *tidset* is the set of transaction ids containing an itemset; its
 //! cardinality is the itemset's support. Two physical layouts coexist:
 //!
-//! * [`TidSet::Sorted`] — an ascending `Vec<Tid>`. Intersection is a
-//!   merge: the linear two-pointer walk (`O(|a| + |b|)`), or galloping
-//!   (exponential + binary search, `O(|small| · log |large|)`) which wins
-//!   when the operands' lengths are very different.
+//! * [`TidSet::Sorted`] — an ascending `Vec<Tid>`. Intersection is the
+//!   two-pointer merge, `O(|a| + |b|)`.
 //! * [`TidSet::Bitmap`] — one bit per transaction packed into `u64`
 //!   words. Intersection is a word-wise AND with a fused `count_ones`
 //!   popcount; cost is `n_txns / 64` words regardless of density, so it
 //!   beats the sorted merge once the operands are denser than about one
-//!   tid in 64 (the break-even ratio behind
-//!   [`crate::VerticalConfig::density_threshold`]).
+//!   tid in 64 (the break-even ratio behind [`crate::TidBackend::Auto`]'s
+//!   density rule).
 //!
-//! The raw kernels ([`intersect_linear`], [`intersect_galloping`],
-//! [`and_words`]) are exported for the criterion `intersection` bench;
-//! the drivers go through [`TidSet::intersect`], which also books
-//! [`KernelStats`] telemetry.
+//! The raw kernels ([`intersect_linear`], [`and_words`]) are exported
+//! for the criterion `intersection` bench; the drivers go through
+//! [`TidSet::intersect`], which also books [`KernelStats`] telemetry.
 
 use arm_dataset::Tid;
 
@@ -141,14 +138,9 @@ impl TidSet {
     }
 
     /// Intersects two same-backend sets, booking telemetry into `stats`.
-    ///
-    /// `galloping` selects the sorted-list merge kernel; it is ignored
-    /// for bitmaps (there is only one AND kernel).
-    pub fn intersect(&self, other: &TidSet, galloping: bool, stats: &mut KernelStats) -> TidSet {
+    pub fn intersect(&self, other: &TidSet, stats: &mut KernelStats) -> TidSet {
         match (self, other) {
-            (TidSet::Sorted(a), TidSet::Sorted(b)) => {
-                TidSet::Sorted(intersect_sorted(a, b, galloping, stats))
-            }
+            (TidSet::Sorted(a), TidSet::Sorted(b)) => TidSet::Sorted(intersect_sorted(a, b, stats)),
             (TidSet::Bitmap { words: a, .. }, TidSet::Bitmap { words: b, .. }) => {
                 stats.intersections += 1;
                 let n = a.len().min(b.len()) as u64;
@@ -164,23 +156,14 @@ impl TidSet {
     }
 }
 
-/// Sorted-slice intersection dispatching on the `galloping` knob, with
-/// [`KernelStats`] bookkeeping. The slice-level entry point used where a
-/// full [`TidSet`] wrapper would force a copy (hybrid transposition).
-pub fn intersect_sorted(
-    a: &[Tid],
-    b: &[Tid],
-    galloping: bool,
-    stats: &mut KernelStats,
-) -> Vec<Tid> {
+/// [`intersect_linear`] with [`KernelStats`] bookkeeping. The
+/// slice-level entry point used where a full [`TidSet`] wrapper would
+/// force a copy (hybrid transposition).
+pub fn intersect_sorted(a: &[Tid], b: &[Tid], stats: &mut KernelStats) -> Vec<Tid> {
     stats.intersections += 1;
     stats.work_units += (a.len() + b.len()).max(1) as u64;
     let mut out = Vec::with_capacity(a.len().min(b.len()));
-    if galloping {
-        intersect_galloping(a, b, &mut out);
-    } else {
-        intersect_linear(a, b, &mut out);
-    }
+    intersect_linear(a, b, &mut out);
     stats.tidset_bytes += 4 * out.len() as u64;
     out
 }
@@ -197,34 +180,6 @@ pub fn intersect_linear(a: &[Tid], b: &[Tid], out: &mut Vec<Tid>) {
                 i += 1;
                 j += 1;
             }
-        }
-    }
-}
-
-/// Galloping (exponential + binary search) intersection of ascending
-/// slices into `out`. Walks the smaller operand, galloping through the
-/// larger one — `O(|small| · log(|large| / |small|))`, a large win when
-/// a short deep-prefix tidset meets a long singleton tidset.
-pub fn intersect_galloping(a: &[Tid], b: &[Tid], out: &mut Vec<Tid>) {
-    let (small, large) = if a.len() <= b.len() { (a, b) } else { (b, a) };
-    let mut base = 0usize;
-    for &x in small {
-        if base >= large.len() {
-            break;
-        }
-        // Exponential probe: double the window until it passes `x` (or
-        // the end), then binary-search the first element `>= x` in it.
-        let mut offset = 1usize;
-        while base + offset < large.len() && large[base + offset] < x {
-            offset <<= 1;
-        }
-        let hi = (base + offset + 1).min(large.len());
-        let idx = base + large[base..hi].partition_point(|&y| y < x);
-        if idx < large.len() && large[idx] == x {
-            out.push(x);
-            base = idx + 1;
-        } else {
-            base = idx;
         }
     }
 }
@@ -254,14 +209,8 @@ mod tests {
         out
     }
 
-    fn gal(a: &[Tid], b: &[Tid]) -> Vec<Tid> {
-        let mut out = Vec::new();
-        intersect_galloping(a, b, &mut out);
-        out
-    }
-
     #[test]
-    fn kernels_agree_on_basics() {
+    fn linear_merge_basics() {
         let cases: &[(&[Tid], &[Tid], &[Tid])] = &[
             (&[1, 3, 5], &[2, 3, 5, 7], &[3, 5]),
             (&[], &[1], &[]),
@@ -272,31 +221,7 @@ mod tests {
         ];
         for (a, b, want) in cases {
             assert_eq!(lin(a, b), *want);
-            assert_eq!(gal(a, b), *want, "gallop a={a:?} b={b:?}");
-            assert_eq!(gal(b, a), *want, "gallop swapped");
-        }
-    }
-
-    #[test]
-    fn galloping_matches_linear_randomized() {
-        // Deterministic LCG — no rand dependency needed here.
-        let mut state = 0x9e3779b97f4a7c15u64;
-        let mut next = move |m: u32| {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            ((state >> 33) as u32) % m
-        };
-        for _ in 0..200 {
-            let la = next(40) as usize;
-            let lb = next(400) as usize;
-            let mut a: Vec<Tid> = (0..la).map(|_| next(500)).collect();
-            let mut b: Vec<Tid> = (0..lb).map(|_| next(500)).collect();
-            a.sort_unstable();
-            a.dedup();
-            b.sort_unstable();
-            b.dedup();
-            assert_eq!(gal(&a, &b), lin(&a, &b));
+            assert_eq!(lin(b, a), *want, "swapped");
         }
     }
 
@@ -327,9 +252,9 @@ mod tests {
         let a = TidSet::Sorted(vec![1, 3, 5, 64, 100]);
         let b = TidSet::Sorted(vec![3, 64, 99, 100]);
         let mut st = KernelStats::default();
-        let sorted = a.intersect(&b, true, &mut st);
+        let sorted = a.intersect(&b, &mut st);
         assert_eq!(sorted, TidSet::Sorted(vec![3, 64, 100]));
-        let bm = a.to_bitmap(2).intersect(&b.to_bitmap(2), false, &mut st);
+        let bm = a.to_bitmap(2).intersect(&b.to_bitmap(2), &mut st);
         assert_eq!(bm.support(), 3);
         assert_eq!(bm.to_sorted(), sorted);
         assert_eq!(st.intersections, 2);
@@ -342,7 +267,7 @@ mod tests {
     fn mixed_backends_panic() {
         let a = TidSet::Sorted(vec![1]);
         let b = a.to_bitmap(1);
-        a.intersect(&b, false, &mut KernelStats::default());
+        a.intersect(&b, &mut KernelStats::default());
     }
 
     #[test]

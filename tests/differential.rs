@@ -9,7 +9,7 @@
 
 use parallel_arm::core::{mine_eclat, mine_partition, naive::mine_levelwise};
 use parallel_arm::prelude::*;
-use parallel_arm::vertical::{mine_eclat_parallel, mine_vertical};
+use parallel_arm::vertical::mine_eclat_parallel;
 
 const N_SEEDS: u64 = 20;
 const FRACTION: f64 = 0.02;
@@ -72,23 +72,25 @@ fn vertical_miners_agree_with_apriori_on_twenty_datasets() {
         let db = dataset(seed);
         let minsup = db.absolute_support(FRACTION);
         let expected = parallel_arm::core::mine(&db, &cfg()).all_itemsets();
-        // Both tidset backends (and the density-adaptive default), each
-        // sequentially and on every thread count.
+        let seq = mine_eclat(&db, minsup, None);
+        assert_eq!(seq, expected, "seed {seed}: eclat vs apriori");
+        // Both tidset backends (and the density-adaptive default), on
+        // every thread count.
         for backend in [TidBackend::Sorted, TidBackend::Bitmap, TidBackend::Auto] {
             let vc = VerticalConfig::default().with_backend(backend);
-            let seq = mine_vertical(&db, minsup, None, &vc);
-            assert_eq!(
-                seq, expected,
-                "seed {seed}: vertical {backend:?} vs apriori"
-            );
             for p in [1usize, 2, 4, 8] {
                 let (par, _) = mine_eclat_parallel(&db, minsup, None, &vc, p);
                 assert_eq!(par, expected, "seed {seed}: parallel {backend:?} P={p}");
             }
         }
-        // Unoptimized path (linear merge, static schedule, lists only).
-        let un = mine_vertical(&db, minsup, None, &VerticalConfig::unoptimized());
-        assert_eq!(un, expected, "seed {seed}: unoptimized vertical");
+        // Slowest path: lists only, static schedule.
+        let un = VerticalConfig::default()
+            .with_backend(TidBackend::Sorted)
+            .with_scheduling(Scheduling::Static);
+        for p in [1usize, 2, 4, 8] {
+            let (par, _) = mine_eclat_parallel(&db, minsup, None, &un, p);
+            assert_eq!(par, expected, "seed {seed}: sorted+static vertical P={p}");
+        }
     }
 }
 
