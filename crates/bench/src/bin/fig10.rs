@@ -4,10 +4,16 @@
 //! The benefit grows with k (deeper trees → more internal nodes to
 //! preempt) until the candidate set — and hence the tree — shrinks near
 //! the end of the run.
+//!
+//! Runs sequential Apriori, which walks a hash tree at every level (CCPD
+//! counts `C_2` in a triangular array, where there is nothing to
+//! short-circuit).
 
-use arm_bench::{banner, paper_name, pct_improvement, reps_for, Csv, DatasetCache, ScaleMode};
+use arm_bench::{
+    banner, mine_sequential, paper_name, pct_improvement, reps_for, Csv, DatasetCache, ScaleMode,
+};
 use arm_core::{AprioriConfig, Support};
-use arm_parallel::{ccpd, ParallelConfig, ParallelRunStats};
+use arm_parallel::ParallelRunStats;
 
 /// Per-iteration count-phase seconds and node visits.
 fn per_iteration(stats: &ParallelRunStats) -> Vec<(u32, f64)> {
@@ -44,11 +50,10 @@ fn main() {
             },
             ..AprioriConfig::default()
         };
-        let cfg = ParallelConfig::new(base, 1);
         let mut best: Option<Vec<(u32, f64)>> = None;
         let mut visits = Vec::new();
         for _ in 0..reps {
-            let (res, stats) = ccpd::mine(&db, &cfg);
+            let (res, stats) = mine_sequential(&db, &base);
             let cur = per_iteration(&stats);
             best = Some(match best {
                 None => cur,

@@ -4,14 +4,17 @@
 //! pruning bites; larger/denser datasets build larger trees, which is what
 //! makes them more amenable to locality placement.
 //!
-//! Runs the CCPD driver at `P = 1` (bit-identical to sequential mining)
-//! so every dataset also yields a full [`arm_metrics::RunReport`] —
-//! per-iteration tree sizes land in the report's `iters` section, the
-//! counterpart of this figure's CSV.
+//! Runs sequential Apriori, which builds the hash tree at every level
+//! (CCPD counts `C_2` in a triangular array instead), with GPP's image —
+//! counters inline, the paper's tree — and a one-thread registry, so every
+//! dataset also yields a full [`arm_metrics::RunReport`]: per-iteration
+//! tree sizes land in the report's `iters` section, the counterpart of
+//! this figure's CSV.
 
-use arm_bench::{banner, paper_name, write_reports, Csv, DatasetCache, ScaleMode};
+use arm_bench::{banner, mine_sequential, paper_name, write_reports, Csv, DatasetCache, ScaleMode};
 use arm_core::{AprioriConfig, Support};
-use arm_parallel::{ccpd, run_report, ParallelConfig};
+use arm_hashtree::PlacementPolicy;
+use arm_parallel::run_report;
 
 const DATASETS: [(u32, u32, usize); 6] = [
     (5, 2, 100_000),
@@ -37,9 +40,10 @@ fn main() {
         let db = cache.get(t, i, d);
         let cfg = AprioriConfig {
             min_support: Support::Fraction(0.001),
+            placement: PlacementPolicy::Gpp,
             ..AprioriConfig::default()
         };
-        let (r, stats) = ccpd::mine(&db, &ParallelConfig::new(cfg, 1));
+        let (r, stats) = mine_sequential(&db, &cfg);
         print!("{name:<16}");
         for s in r.iter_stats.iter().filter(|s| s.k >= 2) {
             print!(" k{}:{:.3}MB", s.k, s.tree_bytes as f64 / 1048576.0);
@@ -49,7 +53,7 @@ fn main() {
             ));
         }
         println!();
-        reports.push(run_report("ccpd", &name, &r, &stats));
+        reports.push(run_report("apriori", &name, &r, &stats));
     }
     let path = csv.finish();
     let report_path = write_reports("fig6.report.json", &reports);

@@ -7,14 +7,41 @@
 //! are printed as aligned text tables and, when `ARM_OUT` is set (or the
 //! `experiments` driver is used), written as CSV.
 
+use arm_core::{AprioriConfig, MiningResult};
 use arm_dataset::Database;
-use arm_metrics::{reports_to_json, RunReport};
+use arm_hashtree::WorkMeter;
+use arm_metrics::{reports_to_json, MetricsRegistry, RunReport};
+use arm_parallel::ParallelRunStats;
 use arm_quest::{generate, QuestParams};
 use std::collections::HashMap;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 use std::time::Instant;
+
+/// Runs sequential Apriori with a one-thread registry and returns its
+/// phase records and telemetry in the parallel drivers' stats shape, so
+/// it reports like a `P = 1` CCPD run. The figures that read per-level
+/// hash-tree records use it: CCPD counts `C_2` in a triangular array
+/// without a tree, while sequential Apriori builds one at every level.
+pub fn mine_sequential(db: &Database, cfg: &AprioriConfig) -> (MiningResult, ParallelRunStats) {
+    let metrics = MetricsRegistry::new(1);
+    let start = Instant::now();
+    let result = arm_core::mine_with(db, cfg, Some(&metrics));
+    let wall = start.elapsed();
+    let mut meter = WorkMeter::default();
+    for it in &result.iter_stats {
+        meter.merge(&it.meter);
+    }
+    let stats = ParallelRunStats {
+        n_threads: 1,
+        phases: metrics.take_phases(),
+        wall,
+        count_meters: vec![meter],
+        metrics: metrics.snapshot(),
+    };
+    (result, stats)
+}
 
 /// Dataset scale relative to the paper's transaction counts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

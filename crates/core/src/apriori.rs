@@ -23,9 +23,10 @@ pub struct IterStats {
     pub n_candidates: usize,
     /// `|F_k|`.
     pub n_frequent: usize,
-    /// Hash-table fan-out used.
+    /// Hash-table fan-out used (0 where no tree was built: `k = 1`, and
+    /// CCPD's `C_2`, which it counts in a triangular array).
     pub fanout: u32,
-    /// Bytes of the frozen hash tree (0 for `k = 1`).
+    /// Bytes of the frozen hash tree (0 where no tree was built).
     pub tree_bytes: usize,
     /// Reachable tree nodes.
     pub tree_nodes: u32,

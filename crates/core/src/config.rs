@@ -58,11 +58,14 @@ pub struct AprioriConfig {
     /// DHP-style pair filtering (Park et al.): collect a hashed pair-count
     /// table of this many buckets during the first scan and prune `C_2`
     /// candidates whose bucket count is below the minimum support.
-    /// `None` disables the filter (the paper's configuration). Sequential
-    /// Apriori and CCPD apply it; PCCD ignores it and counts every
+    /// `None` disables the filter (the paper's configuration). Only
+    /// sequential Apriori applies it: CCPD counts `C_2` exactly in a
+    /// triangular array, leaving nothing to prune, and PCCD counts every
     /// generated `C_2` candidate.
     pub pair_filter_buckets: Option<usize>,
-    /// Memory placement policy (§5).
+    /// Memory placement policy (§5). The default is `LCA-GPP`: GPP's
+    /// tree image with one private counter array per counting thread,
+    /// summed at extraction, so threads never share a counter line.
     pub placement: PlacementPolicy,
     /// Optional cap on the itemset length mined.
     pub max_k: Option<u32>,
@@ -79,7 +82,7 @@ impl Default for AprioriConfig {
             short_circuit: true,
             visited: VisitedMode::PerNode,
             pair_filter_buckets: None,
-            placement: PlacementPolicy::Gpp,
+            placement: PlacementPolicy::LcaGpp,
             max_k: None,
         }
     }
@@ -136,6 +139,8 @@ mod tests {
         assert_ne!(opt.hash_scheme, base.hash_scheme);
         assert!(opt.short_circuit && !base.short_circuit);
         assert!(opt.adaptive_fanout && !base.adaptive_fanout);
+        assert_eq!(opt.placement, PlacementPolicy::LcaGpp);
+        assert_eq!(base.placement, PlacementPolicy::Ccpd);
     }
 
     #[test]

@@ -62,15 +62,6 @@ pub fn pair_bucket(a: Item, b: Item, buckets: usize) -> usize {
 pub fn count_pair_buckets(db: &Database, range: Range<usize>, buckets: usize) -> Vec<u32> {
     assert!(buckets > 0, "DHP table needs at least one bucket");
     let mut table = vec![0u32; buckets];
-    count_pair_buckets_into(db, range, &mut table);
-    table
-}
-
-/// Accumulates hashed pair occurrences for `range` into an existing
-/// table (chunk-at-a-time counterpart of [`count_pair_buckets`]).
-pub fn count_pair_buckets_into(db: &Database, range: Range<usize>, table: &mut [u32]) {
-    assert!(!table.is_empty(), "DHP table needs at least one bucket");
-    let buckets = table.len();
     for i in range {
         let txn = db.transaction(i);
         for (ai, &a) in txn.iter().enumerate() {
@@ -79,6 +70,7 @@ pub fn count_pair_buckets_into(db: &Database, range: Range<usize>, table: &mut [
             }
         }
     }
+    table
 }
 
 #[cfg(test)]

@@ -41,8 +41,9 @@ pub fn txn_weight(l: usize, kmax: usize) -> u64 {
     if kmax == 0 {
         return 0;
     }
+    // Every term with k > l is C(l, k) = 0.
     let mut sum: u64 = 0;
-    for k in 1..=kmax {
+    for k in 1..=kmax.min(l) {
         sum = sum.saturating_add(binomial_saturating(l as u64, k as u64));
     }
     (sum / kmax as u64).max(1)
@@ -109,13 +110,15 @@ pub fn weighted_ranges_for_k(db: &Database, parts: usize, k: u32) -> Vec<Range<u
 /// equal total weight.
 fn split_by_weights(weights: &[u64], parts: usize) -> Vec<Range<usize>> {
     let n = weights.len();
-    let total: u64 = weights.iter().sum();
+    // Weights saturate at u64::MAX for long transactions, so their sums
+    // saturate too.
+    let total = weights.iter().fold(0u64, |t, &w| t.saturating_add(w));
     let target = (total as f64 / parts as f64).max(1.0);
     let mut out = Vec::with_capacity(parts);
     let mut start = 0usize;
     let mut acc: u64 = 0;
     for (i, &w) in weights.iter().enumerate() {
-        acc += w;
+        acc = acc.saturating_add(w);
         let remaining = parts - out.len();
         if remaining > 1 && acc as f64 >= target && n - (i + 1) >= remaining - 1 {
             out.push(start..i + 1);
@@ -187,6 +190,25 @@ mod tests {
         assert!(w20 > w5 * 10, "w5={w5} w20={w20}");
         assert_eq!(txn_weight(0, 4), 1); // clamped floor
         assert_eq!(txn_weight(10, 0), 0);
+    }
+
+    #[test]
+    fn saturated_weights_still_split() {
+        // Each 70-item transaction weighs about u64::MAX / 40, so the
+        // total of 50 of them exceeds u64::MAX.
+        let txns: Vec<Vec<u32>> = (0..50).map(|_| (0..70).collect()).collect();
+        let db = Database::from_transactions(70, txns).unwrap();
+        let r = weighted_ranges(&db, 2, 40);
+        assert_eq!(r.len(), 2);
+        assert_eq!((r[0].start, r[1].end), (0, 50));
+        assert_eq!(r[0].end, r[1].start);
+    }
+
+    #[test]
+    fn txn_weight_with_an_unbounded_horizon_returns_at_once() {
+        // Σ_k C(10, k) = 1023, divided by a horizon of usize::MAX.
+        assert_eq!(txn_weight(10, usize::MAX), 1);
+        assert_eq!(txn_weight(3, 5), (3 + 3 + 1) / 5);
     }
 
     fn uneven_db() -> Database {

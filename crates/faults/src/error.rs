@@ -38,15 +38,25 @@ pub enum MiningError {
         /// verbatim, anything else a placeholder).
         payload: String,
     },
+    /// The configuration cannot be run; rejected before any worker
+    /// thread starts.
+    InvalidConfig {
+        /// The offending configuration field.
+        field: &'static str,
+        /// What the field must be instead.
+        expected: &'static str,
+    },
 }
 
 impl MiningError {
-    /// The phase the error was observed in.
+    /// The phase the error was observed in (`"config"` for a rejected
+    /// configuration: no phase ran).
     pub fn phase(&self) -> &'static str {
         match self {
             MiningError::Cancelled { phase, .. }
             | MiningError::DeadlineExceeded { phase, .. }
             | MiningError::WorkerPanicked { phase, .. } => phase,
+            MiningError::InvalidConfig { .. } => "config",
         }
     }
 }
@@ -69,6 +79,9 @@ impl std::fmt::Display for MiningError {
                 payload,
             } => {
                 write!(f, "worker {thread} panicked during {phase}: {payload}")
+            }
+            MiningError::InvalidConfig { field, expected } => {
+                write!(f, "invalid configuration: {field} must be {expected}")
             }
         }
     }
@@ -103,5 +116,15 @@ mod tests {
             elapsed: Duration::ZERO,
         };
         assert!(d.to_string().contains("deadline"));
+
+        let i = MiningError::InvalidConfig {
+            field: "leaf_threshold",
+            expected: "at least 1",
+        };
+        assert_eq!(
+            i.to_string(),
+            "invalid configuration: leaf_threshold must be at least 1"
+        );
+        assert_eq!(i.phase(), "config");
     }
 }

@@ -3,6 +3,7 @@
 use arm_balance::Scheme;
 use arm_core::AprioriConfig;
 use arm_exec::Scheduling;
+use arm_faults::MiningError;
 
 /// How the database is split across counting threads (§3.2.2).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -77,6 +78,26 @@ impl ParallelConfig {
         self.scheduling = s;
         self
     }
+
+    /// Rejects the hash-tree settings no tree can be built with: a leaf
+    /// threshold of 0, or a fixed fan-out of 0 when the fan-out is not
+    /// adaptive. Every fallible driver checks this before its first
+    /// thread starts.
+    pub fn validate(&self) -> Result<(), MiningError> {
+        if self.base.leaf_threshold == 0 {
+            return Err(MiningError::InvalidConfig {
+                field: "leaf_threshold",
+                expected: "at least 1",
+            });
+        }
+        if !self.base.adaptive_fanout && self.base.fixed_fanout == 0 {
+            return Err(MiningError::InvalidConfig {
+                field: "fixed_fanout",
+                expected: "at least 1 when adaptive_fanout is off",
+            });
+        }
+        Ok(())
+    }
 }
 
 #[cfg(test)]
@@ -103,5 +124,34 @@ mod tests {
         assert_eq!(c.db_partition, DbPartition::WeightedPerIteration);
         assert_eq!(c.scheduling, Scheduling::Static);
         assert_eq!(DbPartition::default(), DbPartition::Block);
+    }
+
+    #[test]
+    fn validate_names_the_bad_tree_field() {
+        let ok = ParallelConfig::new(AprioriConfig::default(), 2);
+        assert_eq!(ok.validate(), Ok(()));
+        let mut leaf = ok.clone();
+        leaf.base.leaf_threshold = 0;
+        assert!(matches!(
+            leaf.validate(),
+            Err(MiningError::InvalidConfig {
+                field: "leaf_threshold",
+                ..
+            })
+        ));
+        let mut fanout = ok.clone();
+        fanout.base.adaptive_fanout = false;
+        fanout.base.fixed_fanout = 0;
+        assert!(matches!(
+            fanout.validate(),
+            Err(MiningError::InvalidConfig {
+                field: "fixed_fanout",
+                ..
+            })
+        ));
+        // An unused fixed fan-out is not an error.
+        let mut adaptive = ok;
+        adaptive.base.fixed_fanout = 0;
+        assert_eq!(adaptive.validate(), Ok(()));
     }
 }

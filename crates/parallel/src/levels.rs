@@ -4,31 +4,32 @@
 //! `max_k` cap or when `F_{k-1}` cannot join, count `C_k`, select `F_k`
 //! in the master's `extract` phase, record [`IterStats`], and stop after
 //! the first empty level. What differs — candidate generation, the tree
-//! build, counting and its reduction — is the driver's per-level step.
-//! Sequential Apriori keeps its own loop: it is the oracle both drivers
-//! are checked against.
+//! build, counting, its reduction and the selection of `F_k` — is the
+//! driver's per-level step. Sequential Apriori keeps its own loop: it is
+//! the oracle both drivers are checked against.
 
 use crate::config::ParallelConfig;
 use crate::stats::ParallelRunStats;
 use arm_core::{FrequentLevel, IterStats, MiningResult};
 use arm_dataset::Database;
 use arm_faults::{MiningError, RunControl};
-use arm_hashtree::{CandidateSet, WorkMeter};
+use arm_hashtree::WorkMeter;
 use arm_metrics::{Counter, MetricsRegistry};
 use std::time::Instant;
 
 /// One counted level, handed back by a driver's per-level step.
 pub(crate) struct Counted {
-    pub cands: CandidateSet,
+    /// `|C_k|`.
+    pub n_candidates: usize,
     pub fanout: u32,
     pub join_pairs: u64,
     pub tree_bytes: usize,
     pub tree_nodes: u32,
     /// Per-thread counting meters of this level.
     pub meters: Vec<WorkMeter>,
-    /// Reduces the level's counters to per-candidate supports; runs in
-    /// the `extract` phase.
-    pub counts: Box<dyn FnOnce() -> Vec<u32>>,
+    /// Reduces the level's counters and selects `F_k` at the given
+    /// minimum support; runs in the `extract` phase.
+    pub select: Box<dyn FnOnce(u32) -> FrequentLevel>,
 }
 
 /// Runs iterations `k ≥ 2` from `f1`. `step(prev, k)` counts `C_k`
@@ -73,7 +74,7 @@ pub(crate) fn run_levels(
         let Some(level) = step(prev, k)? else { break };
 
         let span = metrics.phase("extract", k);
-        let fk = FrequentLevel::select(&level.cands, &(level.counts)(), min_support);
+        let fk = (level.select)(min_support);
         span.finish_serial();
 
         let mut meter = WorkMeter::default();
@@ -83,7 +84,7 @@ pub(crate) fn run_levels(
         }
         iter_stats.push(IterStats {
             k,
-            n_candidates: level.cands.len(),
+            n_candidates: level.n_candidates,
             n_frequent: fk.len(),
             fanout: level.fanout,
             tree_bytes: level.tree_bytes,

@@ -15,7 +15,7 @@ use arm_metrics::{Counter, MetricsRegistry};
 
 use arm_core::{
     count_singletons, equivalence_classes, f1_items, frequent_from_counts, generate_class,
-    level_hash, MiningResult,
+    level_hash, FrequentLevel, MiningResult,
 };
 use arm_dataset::Database;
 use arm_hashtree::{
@@ -34,15 +34,18 @@ pub fn mine(db: &Database, cfg: &ParallelConfig) -> (MiningResult, ParallelRunSt
 
 /// Runs PCCD under a [`RunControl`]: cancellation is observed once per
 /// worker scan; fault-plan sites fire in phase `count`. Same `Err`
-/// guarantees as [`crate::ccpd::try_mine`].
+/// guarantees as [`crate::ccpd::try_mine`], including the
+/// [`ParallelConfig::validate`] check before any thread starts.
 ///
 /// Every [`Scheduling`](arm_exec::Scheduling) mode counts the same way:
-/// each thread scans the whole database against its own bin's tree.
+/// each thread scans the whole database against its own bin's tree, at
+/// every level (`C_2` included).
 pub fn try_mine(
     db: &Database,
     cfg: &ParallelConfig,
     ctrl: &RunControl,
 ) -> Result<(MiningResult, ParallelRunStats), MiningError> {
+    cfg.validate()?;
     let run_start = Instant::now();
     let p = cfg.n_threads.max(1);
     let min_support = cfg.base.min_support.absolute(db.len());
@@ -142,23 +145,22 @@ pub fn try_mine(
         span.finish(bins.iter().map(|b| b.meter.work_units()).collect());
         ctrl.gate("count", run_start)?;
 
-        let n_cands = cands.len();
         Ok(Some(Counted {
-            cands,
+            n_candidates: cands.len(),
             fanout,
             join_pairs,
             tree_bytes: bins.iter().map(|b| b.tree_bytes).sum(),
             tree_nodes: bins.iter().map(|b| b.tree_nodes).sum(),
             meters: bins.iter().map(|b| b.meter).collect(),
             // Scatter each bin's counts back to global candidate ids.
-            counts: Box::new(move || {
-                let mut counts = vec![0u32; n_cands];
+            select: Box::new(move |min_support| {
+                let mut counts = vec![0u32; cands.len()];
                 for bin in &bins {
                     for (&id, &c) in bin.ids.iter().zip(&bin.counts) {
                         counts[id as usize] = c;
                     }
                 }
-                counts
+                FrequentLevel::select(&cands, &counts, min_support)
             }),
         }))
     })

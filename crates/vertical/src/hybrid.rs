@@ -2,8 +2,9 @@
 //! that breadth-first counting wins on shallow, wide levels while
 //! tidlist intersection wins on deep, narrow ones).
 //!
-//! Levels `k ≤ switch_level` run as plain CCPD: hash-tree counting over
-//! the horizontal database, which amortizes beautifully while candidate
+//! Levels `k ≤ switch_level` run as plain CCPD over the horizontal
+//! database — `C_2` in per-thread triangular arrays, deeper levels on
+//! the shared hash tree — which amortizes beautifully while candidate
 //! sets are huge. The surviving `F_s` itemsets are then *transposed*
 //! into tidsets — one shared `(s-1)`-prefix intersection per equivalence
 //! class plus one intersection per member — and the deep levels finish
@@ -114,7 +115,10 @@ fn mine_deep_class(
 /// canonical length-then-lex itemsets (bit-identical to
 /// `ccpd::mine(..).0.all_itemsets()` and [`arm_core::mine_eclat`]) and
 /// the stitched stats of both regimes (CCPD phases followed by the
-/// vertical transpose/classes/mine/merge phases).
+/// vertical transpose/classes/mine/merge phases). The hybrid runs CCPD's
+/// own `F_1` and `C_2` passes, so a check against CCPD alone would not
+/// see a fault in them; the differential suites also check it against
+/// sequential Apriori, which shares neither.
 pub fn mine_hybrid(
     db: &Database,
     pcfg: &ParallelConfig,
@@ -134,6 +138,7 @@ pub fn try_mine_hybrid(
     vcfg: &VerticalConfig,
     ctrl: &RunControl,
 ) -> TryMineOutcome {
+    pcfg.validate()?;
     let run_start = Instant::now();
     let p = pcfg.n_threads.max(1);
     let user_max = pcfg.base.max_k;

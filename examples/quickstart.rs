@@ -20,7 +20,7 @@ fn main() {
 
     // Mine at 0.5% support with every optimization the paper proposes:
     // bitonic tree balancing, adaptive fan-out, short-circuited subset
-    // checking, GPP placement — on 4 worker threads (CCPD).
+    // checking, LCA-GPP placement — on 4 worker threads (CCPD).
     let base = AprioriConfig {
         min_support: Support::Fraction(0.005),
         ..AprioriConfig::default()

@@ -7,7 +7,7 @@
 //! intersection), and Partition (two-scan local/global) — so agreement
 //! across 20 seeded datasets is strong evidence each one is correct.
 
-use parallel_arm::core::{mine_eclat, mine_partition, naive::mine_levelwise};
+use parallel_arm::core::{mine_eclat, mine_partition, naive::mine_levelwise, MiningResult};
 use parallel_arm::prelude::*;
 use parallel_arm::vertical::mine_eclat_parallel;
 
@@ -62,6 +62,28 @@ fn parallel_drivers_agree_with_sequential_on_twenty_datasets() {
             assert_eq!(ccpd_r.all_itemsets(), expected, "seed {seed} CCPD P={p}");
             let (pccd_r, _) = pccd::mine(&db, &pc);
             assert_eq!(pccd_r.all_itemsets(), expected, "seed {seed} PCCD P={p}");
+        }
+    }
+}
+
+#[test]
+fn ccpd_pair_pass_matches_the_c2_tree_on_twenty_datasets() {
+    // CCPD counts C2 in per-thread triangular arrays; sequential Apriori
+    // still builds and walks the C2 hash tree. Both see the same pairs.
+    let k2 = |r: &MiningResult| r.iter_stats.iter().find(|s| s.k == 2).cloned();
+    for seed in 0..N_SEEDS {
+        let db = dataset(seed);
+        let want = k2(&parallel_arm::core::mine(&db, &cfg())).expect("C2 counted");
+        for p in [1usize, 2, 4, 8] {
+            for mode in [Scheduling::Static, Scheduling::Stealing] {
+                let pc = ParallelConfig::new(cfg(), p).with_scheduling(mode);
+                let got = k2(&ccpd::mine(&db, &pc).0).expect("C2 counted");
+                let what = format!("seed {seed} P={p} {mode:?}");
+                assert_eq!(got.n_candidates, want.n_candidates, "{what}");
+                assert_eq!(got.n_frequent, want.n_frequent, "{what}");
+                assert_eq!(got.meter.hits, want.meter.hits, "{what}");
+                assert_eq!(got.meter.txns, want.meter.txns, "{what}");
+            }
         }
     }
 }
